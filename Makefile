@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci build vet fmt-check lint test test-shuffle race bench-smoke bench bench-shard bench-latency bench-persist bench-kv bench-obs bench-sealer bench-sealer-baseline bench-timing bench-timing-baseline persist-smoke kv-smoke cluster-smoke fmt
+.PHONY: ci build vet fmt-check lint test test-shuffle race bench-smoke bench bench-shard bench-latency bench-persist bench-kv bench-obs bench-sealer bench-sealer-baseline bench-timing bench-timing-baseline persist-smoke kv-smoke cluster-smoke perfbench-test fmt
 
-ci: build vet fmt-check lint test test-shuffle race bench-smoke bench-sealer bench-timing persist-smoke kv-smoke cluster-smoke
+ci: build vet fmt-check lint test test-shuffle race bench-smoke bench-sealer bench-timing persist-smoke kv-smoke cluster-smoke perfbench-test
 
 build:
 	$(GO) build ./...
@@ -53,6 +53,12 @@ kv-smoke:
 # wedging.
 cluster-smoke:
 	./scripts/cluster_smoke.sh
+
+# The serving benchmark's own tests (request oracle, seed determinism,
+# counter reconciliation). perfbench/ is a separate Go module, so the
+# root ./... pattern never reaches it.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # Full benchmark run (slow) — the reproduction's headline numbers.
 bench:

@@ -39,7 +39,7 @@ import (
 func main() {
 	exp := flag.String("exp", "all", "experiment: all, fig5-1, table5-1, table5-2, table5-3, table5-4, seqvsrand, partial, multiuser, ablations, concurrency, shard, latency, persist, kv, obs, timing")
 	scale := flag.Float64("scale", 0.125, "scale factor for table5-4 (1 = paper size: 1 GB, 500k requests)")
-	crypto := flag.Bool("crypto", false, "run with real AES-CTR+HMAC sealing instead of the null sealer")
+	crypto := flag.Bool("crypto", false, "run with real AES-GCM sealing instead of the null sealer")
 	reqs := flag.Int("reqs", 200, "requests per client for -exp concurrency")
 	out := flag.String("out", "", "also write the -exp shard or -exp latency sweep as a JSON baseline to this path")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this path (go tool pprof)")

@@ -22,7 +22,7 @@ func integrationKey() []byte {
 }
 
 // TestEndToEndWithRealCrypto runs a full H-ORAM session through the
-// public API with AES-CTR+HMAC sealing on every block, crossing
+// public API with AES-GCM sealing on every block, crossing
 // several shuffle periods.
 func TestEndToEndWithRealCrypto(t *testing.T) {
 	client, err := core.Open(core.Options{

@@ -1,12 +1,11 @@
 // Zero-copy and batch sealing. The steady-state ORAM block path seals
 // and opens one fixed-size record per device slot, and the historical
-// Seal/Open contract allocated the output (and an HMAC state) on every
-// call — the dominant allocation churn of a cycle. Two optional
-// capability interfaces fix that:
+// Seal/Open contract allocated the output on every call — the dominant
+// allocation churn of a cycle. Two optional capability interfaces fix
+// that:
 //
-//   - InplaceSealer seals/opens into caller-provided buffers, with the
-//     HMAC state drawn from an internal sync.Pool, so the per-record
-//     cost drops to the AES-CTR stream construction;
+//   - InplaceSealer seals/opens into caller-provided buffers, so the
+//     per-record cost is the AES-GCM pass alone;
 //   - BatchSealer processes a whole run of records at once, fanning
 //     the crypto across a bounded set of worker goroutines while
 //     drawing the nonces serially in index order first — so the
@@ -19,12 +18,8 @@
 package blockcipher
 
 import (
-	"crypto/cipher"
-	"crypto/hmac"
-	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"hash"
 	"sync"
 	"sync/atomic"
 )
@@ -130,58 +125,28 @@ func OpenBatch(s Sealer, sealed, outs [][]byte, workers int) error {
 	return nil
 }
 
-// sealScratch is the reusable per-goroutine state of one seal/open:
-// the keyed HMAC instance, reset instead of reconstructed per record,
-// and the tag buffer (kept here because passing a stack array through
-// the hash.Hash interface makes it escape).
-type sealScratch struct {
-	h   hash.Hash
-	sum [tagSize]byte
-}
-
-func (s *AESSealer) getScratch() *sealScratch {
-	if sc, ok := s.scratch.Get().(*sealScratch); ok {
-		return sc
-	}
-	return &sealScratch{h: hmac.New(sha256.New, s.mac)}
-}
-
-func (s *AESSealer) putScratch(sc *sealScratch) { s.scratch.Put(sc) }
-
-// nextNonce draws the next nonce from the sealer's deterministic
-// counter + PRNG stream. Serial by contract: batch sealing draws all
-// nonces in index order before any crypto runs, so the stream is
-// identical to sequential sealing.
-func (s *AESSealer) nextNonce(nonce *[nonceSize]byte) {
+// nextNonce writes the next nonce of the sealer's prefix ‖ counter
+// sequence into dst[:nonceSize]. Serial by contract: batch sealing
+// draws all nonces in index order before any crypto runs, so the
+// stream is identical to sequential sealing.
+func (s *AESSealer) nextNonce(dst []byte) {
 	s.counter++
-	binary.BigEndian.PutUint64(nonce[:8], s.counter)
-	binary.BigEndian.PutUint64(nonce[8:], s.rng.Uint64())
+	binary.BigEndian.PutUint32(dst[:4], s.prefix)
+	binary.BigEndian.PutUint64(dst[4:nonceSize], s.counter)
 }
 
-// sealWithNonce is the pure crypto of one seal: safe for concurrent
-// use across distinct scratches (the AES block and MAC key are
-// read-only).
-func (s *AESSealer) sealWithNonce(sc *sealScratch, dst []byte, nonce *[nonceSize]byte, plaintext []byte) {
-	copy(dst[:nonceSize], nonce[:])
-	stream := cipher.NewCTR(s.block, dst[:nonceSize])
-	stream.XORKeyStream(dst[nonceSize:nonceSize+len(plaintext)], plaintext)
-	sc.h.Reset()
-	sc.h.Write(dst[:nonceSize+len(plaintext)])
-	sc.h.Sum(dst[nonceSize+len(plaintext) : nonceSize+len(plaintext)])
+// sealWithNonce is the pure crypto of one seal, with the nonce already
+// in dst[:nonceSize]: safe for concurrent use (the AEAD is read-only).
+// The tag lands in place after the ciphertext, so nothing allocates.
+func (s *AESSealer) sealWithNonce(dst, plaintext []byte) {
+	s.aead.Seal(dst[:nonceSize], dst[:nonceSize], plaintext, nil)
 }
 
-// openWithScratch is the pure crypto of one open.
-func (s *AESSealer) openWithScratch(sc *sealScratch, dst, sealed []byte) error {
-	body := sealed[:len(sealed)-tagSize]
-	tag := sealed[len(sealed)-tagSize:]
-	sc.h.Reset()
-	sc.h.Write(body)
-	sc.h.Sum(sc.sum[:0])
-	if !hmac.Equal(sc.sum[:], tag) {
+// open is the pure crypto of one open; safe for concurrent use.
+func (s *AESSealer) open(dst, sealed []byte) error {
+	if _, err := s.aead.Open(dst[:0], sealed[:nonceSize], sealed[nonceSize:], nil); err != nil {
 		return ErrAuth
 	}
-	stream := cipher.NewCTR(s.block, body[:nonceSize])
-	stream.XORKeyStream(dst, body[nonceSize:])
 	return nil
 }
 
@@ -190,11 +155,8 @@ func (s *AESSealer) SealInto(dst, plaintext []byte) error {
 	if len(dst) != nonceSize+len(plaintext)+tagSize {
 		return fmt.Errorf("blockcipher: seal buffer %d bytes, want %d", len(dst), nonceSize+len(plaintext)+tagSize)
 	}
-	var nonce [nonceSize]byte
-	s.nextNonce(&nonce)
-	sc := s.getScratch()
-	s.sealWithNonce(sc, dst, &nonce, plaintext)
-	s.putScratch(sc)
+	s.nextNonce(dst)
+	s.sealWithNonce(dst, plaintext)
 	return nil
 }
 
@@ -206,24 +168,19 @@ func (s *AESSealer) OpenInto(dst, sealed []byte) error {
 	if len(dst) != len(sealed)-nonceSize-tagSize {
 		return fmt.Errorf("blockcipher: open buffer %d bytes, want %d", len(dst), len(sealed)-nonceSize-tagSize)
 	}
-	sc := s.getScratch()
-	err := s.openWithScratch(sc, dst, sealed)
-	s.putScratch(sc)
-	return err
+	return s.open(dst, sealed)
 }
 
-// fan runs f(scratch, i) for i in [0, n), inline when workers <= 1 and
-// across min(workers, n) goroutines otherwise. The first error wins;
+// fan runs f(i) for i in [0, n), inline when workers <= 1 and across
+// min(workers, n) goroutines otherwise. The first error wins;
 // remaining items may or may not run after one.
-func (s *AESSealer) fan(n, workers int, f func(sc *sealScratch, i int) error) error {
+func fan(n, workers int, f func(i int) error) error {
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
-		sc := s.getScratch()
-		defer s.putScratch(sc)
 		for i := 0; i < n; i++ {
-			if err := f(sc, i); err != nil {
+			if err := f(i); err != nil {
 				return fmt.Errorf("blockcipher: record %d: %w", i, err)
 			}
 		}
@@ -236,14 +193,12 @@ func (s *AESSealer) fan(n, workers int, f func(sc *sealScratch, i int) error) er
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sc := s.getScratch()
-			defer s.putScratch(sc)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				if err := f(sc, i); err != nil {
+				if err := f(i); err != nil {
 					errs[w] = fmt.Errorf("blockcipher: record %d: %w", i, err)
 					return
 				}
@@ -259,9 +214,10 @@ func (s *AESSealer) fan(n, workers int, f func(sc *sealScratch, i int) error) er
 	return nil
 }
 
-// SealBatch implements BatchSealer. Nonces are drawn serially in index
-// order before the parallel phase, so the output is byte-for-byte what
-// sequential Seal calls would produce regardless of workers.
+// SealBatch implements BatchSealer. Nonces are written into the
+// outputs serially in index order before the parallel phase, so the
+// output is byte-for-byte what sequential Seal calls would produce
+// regardless of workers.
 func (s *AESSealer) SealBatch(plaintexts, outs [][]byte, workers int) error {
 	if len(plaintexts) != len(outs) {
 		return fmt.Errorf("blockcipher: %d plaintexts, %d outputs", len(plaintexts), len(outs))
@@ -271,12 +227,11 @@ func (s *AESSealer) SealBatch(plaintexts, outs [][]byte, workers int) error {
 			return fmt.Errorf("blockcipher: record %d: seal buffer %d bytes, want %d", i, len(outs[i]), len(plaintexts[i])+s.Overhead())
 		}
 	}
-	nonces := make([][nonceSize]byte, len(plaintexts))
-	for i := range nonces {
-		s.nextNonce(&nonces[i])
+	for i := range outs {
+		s.nextNonce(outs[i])
 	}
-	return s.fan(len(plaintexts), workers, func(sc *sealScratch, i int) error {
-		s.sealWithNonce(sc, outs[i], &nonces[i], plaintexts[i])
+	return fan(len(plaintexts), workers, func(i int) error {
+		s.sealWithNonce(outs[i], plaintexts[i])
 		return nil
 	})
 }
@@ -294,8 +249,8 @@ func (s *AESSealer) OpenBatch(sealed, outs [][]byte, workers int) error {
 			return fmt.Errorf("blockcipher: record %d: open buffer %d bytes, want %d", i, len(outs[i]), len(sealed[i])-s.Overhead())
 		}
 	}
-	return s.fan(len(sealed), workers, func(sc *sealScratch, i int) error {
-		return s.openWithScratch(sc, outs[i], sealed[i])
+	return fan(len(sealed), workers, func(i int) error {
+		return s.open(outs[i], sealed[i])
 	})
 }
 

@@ -126,9 +126,7 @@ func TestBatchLengthValidation(t *testing.T) {
 }
 
 // TestSealAllocs is the zero-alloc regression gate for the hot path:
-// the AES path may allocate at most once per record (the CTR stream
-// state — see the batch.go rationale for keeping crypto/cipher's
-// multi-block implementation), the null path not at all.
+// neither the AES-GCM path nor the null path may allocate per record.
 func TestSealAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
@@ -142,8 +140,8 @@ func TestSealAllocs(t *testing.T) {
 		if err := s.SealInto(ct, pt); err != nil {
 			t.Fatal(err)
 		}
-	}); avg > 1 {
-		t.Errorf("AESSealer.SealInto allocates %.1f times per record, want <= 1", avg)
+	}); avg != 0 {
+		t.Errorf("AESSealer.SealInto allocates %.1f times per record, want 0", avg)
 	}
 
 	got := make([]byte, len(pt))
@@ -154,8 +152,8 @@ func TestSealAllocs(t *testing.T) {
 		if err := s.OpenInto(got, ct); err != nil {
 			t.Fatal(err)
 		}
-	}); avg > 1 {
-		t.Errorf("AESSealer.OpenInto allocates %.1f times per record, want <= 1", avg)
+	}); avg != 0 {
+		t.Errorf("AESSealer.OpenInto allocates %.1f times per record, want 0", avg)
 	}
 
 	var null NullSealer
@@ -169,8 +167,8 @@ func TestSealAllocs(t *testing.T) {
 }
 
 // TestBatchRace drives concurrent batches through one sealer instance
-// with a forced multi-worker pool; under -race this covers the scratch
-// pool and the shared-nonce handoff.
+// with a forced multi-worker pool; under -race this covers the AEAD
+// shared by every seal worker and the serial nonce handoff.
 func TestBatchRace(t *testing.T) {
 	s := newTestSealer(t)
 	const n, size, rounds = 64, 256, 20

@@ -1,8 +1,8 @@
 // Package blockcipher provides the cryptographic primitives used by
 // every ORAM scheme in this repository: an authenticated block sealer
-// (AES-CTR + HMAC-SHA256), a PRF for deterministic pseudo-random
-// derivations, and a seeded deterministic CSPRNG so whole experiments
-// replay bit-for-bit.
+// (AES-256-GCM), a PRF for deterministic pseudo-random derivations,
+// and a seeded deterministic CSPRNG so whole experiments replay
+// bit-for-bit.
 //
 // All ORAM contents stored on simulated memory or storage devices pass
 // through a Sealer, so data integrity is verified end-to-end through
@@ -17,7 +17,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // Errors returned by Sealer implementations.
@@ -46,26 +45,31 @@ type Sealer interface {
 }
 
 const (
-	nonceSize = 16 // AES block size; used directly as the CTR IV
-	tagSize   = 32 // HMAC-SHA256
+	nonceSize = 12 // GCM standard nonce: 4-byte prefix ‖ 8-byte counter
+	tagSize   = 16 // GCM tag
 )
 
-// AESSealer is an AES-CTR + HMAC-SHA256 (encrypt-then-MAC) Sealer.
-// The nonce is drawn from an internal deterministic counter mixed with
-// the sealer's PRNG, giving unique IVs without OS entropy so
-// experiments stay reproducible.
+// AESSealer is an AES-256-GCM Sealer. Nonces follow the TLS 1.3
+// record-nonce pattern (RFC 8446 §5.3): a 32-bit prefix and a 64-bit
+// counter start are drawn once from the sealer's PRNG, and each seal
+// takes the next counter value. Nonces are therefore unique within one
+// sealer by construction, and distinct boots stay apart because
+// callers salt the PRNG with a boot epoch. No OS entropy is involved,
+// so experiments stay reproducible.
+//
+// GCM fails badly under nonce reuse (it leaks the authentication key),
+// so a sealer's (key, PRNG seed) pair must never be instantiated
+// twice for records an adversary can see.
 type AESSealer struct {
-	block   cipher.Block
-	mac     []byte // HMAC key
-	rng     *RNG
+	aead    cipher.AEAD // immutable after construction; shared by seal workers
+	prefix  uint32
 	counter uint64
-	scratch sync.Pool // *sealScratch: reusable HMAC state (see batch.go)
 }
 
-// NewAESSealer builds an AESSealer from a 32-byte master key. The key
-// is split by a PRF into independent encryption and MAC keys. The rng
-// provides nonce entropy; it must not be shared with code whose
-// randomness must be independent of sealing activity.
+// NewAESSealer builds an AESSealer from a 32-byte master key. The AES
+// key is a PRF derivation of the master key. The rng provides the
+// nonce prefix and counter start; it must not be shared with code
+// whose randomness must be independent of sealing activity.
 func NewAESSealer(master []byte, rng *RNG) (*AESSealer, error) {
 	if len(master) != 32 {
 		return nil, fmt.Errorf("blockcipher: master key must be 32 bytes, got %d", len(master))
@@ -77,13 +81,15 @@ func NewAESSealer(master []byte, rng *RNG) (*AESSealer, error) {
 	if err != nil {
 		return nil, err
 	}
-	encKey := prf.Derive("enc", 32)
-	macKey := prf.Derive("mac", 32)
-	blk, err := aes.NewCipher(encKey)
+	blk, err := aes.NewCipher(prf.Derive("aead", 32))
 	if err != nil {
 		return nil, fmt.Errorf("blockcipher: %w", err)
 	}
-	return &AESSealer{block: blk, mac: macKey, rng: rng}, nil
+	aead, err := cipher.NewGCM(blk)
+	if err != nil {
+		return nil, fmt.Errorf("blockcipher: %w", err)
+	}
+	return &AESSealer{aead: aead, prefix: uint32(rng.Uint64()), counter: rng.Uint64()}, nil
 }
 
 // Overhead implements Sealer.
@@ -92,11 +98,8 @@ func (s *AESSealer) Overhead() int { return nonceSize + tagSize }
 // Seal implements Sealer.
 func (s *AESSealer) Seal(plaintext []byte) ([]byte, error) {
 	out := make([]byte, nonceSize+len(plaintext)+tagSize)
-	var nonce [nonceSize]byte
-	s.nextNonce(&nonce)
-	sc := s.getScratch()
-	s.sealWithNonce(sc, out, &nonce, plaintext)
-	s.putScratch(sc)
+	s.nextNonce(out)
+	s.sealWithNonce(out, plaintext)
 	return out, nil
 }
 
@@ -106,10 +109,7 @@ func (s *AESSealer) Open(sealed []byte) ([]byte, error) {
 		return nil, ErrCiphertext
 	}
 	pt := make([]byte, len(sealed)-nonceSize-tagSize)
-	sc := s.getScratch()
-	err := s.openWithScratch(sc, pt, sealed)
-	s.putScratch(sc)
-	if err != nil {
+	if err := s.open(pt, sealed); err != nil {
 		return nil, err
 	}
 	return pt, nil

@@ -2,7 +2,10 @@ package blockcipher
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -58,15 +61,74 @@ func TestSealNonDeterministic(t *testing.T) {
 	}
 }
 
+// TestSealKnownAnswer pins the record format to an independent
+// AES-256-GCM construction: the key is the PRF's "aead" derivation of
+// the master key, the record is nonce ‖ ciphertext ‖ tag, and there is
+// no associated data.
+func TestSealKnownAnswer(t *testing.T) {
+	s := newTestSealer(t)
+	prf, err := NewPRF(testKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk, err := aes.NewCipher(prf.Derive("aead", 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := cipher.NewGCM(blk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, 1, 16, 1032} {
+		pt := make([]byte, n)
+		for i := range pt {
+			pt[i] = byte(i * 31)
+		}
+		got := make([]byte, n+s.Overhead())
+		if err := s.SealInto(got, pt); err != nil {
+			t.Fatalf("SealInto(%d bytes): %v", n, err)
+		}
+		nonce := got[:ref.NonceSize()]
+		want := ref.Seal(append([]byte(nil), nonce...), nonce, pt, nil)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%d-byte record differs from the reference AES-GCM seal", n)
+		}
+	}
+}
+
+// TestOpenRejectsTamperedCiphertext flips one bit in every byte of the
+// nonce, ciphertext and tag in turn; each must fail authentication.
 func TestOpenRejectsTamperedCiphertext(t *testing.T) {
 	s := newTestSealer(t)
-	ct, _ := s.Seal([]byte("sensitive"))
-	for _, pos := range []int{0, nonceSize, len(ct) - 1} {
+	ct, _ := s.Seal([]byte("sensitive block contents"))
+	for pos := range ct {
 		bad := make([]byte, len(ct))
 		copy(bad, ct)
-		bad[pos] ^= 0x01
+		bad[pos] ^= 1 << (pos % 8)
 		if _, err := s.Open(bad); err != ErrAuth {
-			t.Fatalf("Open(tampered at %d) = %v, want ErrAuth", pos, err)
+			t.Fatalf("Open(tampered at %d of %d) = %v, want ErrAuth", pos, len(ct), err)
+		}
+	}
+}
+
+// TestNonceUnique seals a million records through one sealer and
+// checks that no nonce repeats: under GCM a repeat would leak the
+// authentication key, not just the XOR of two plaintexts.
+func TestNonceUnique(t *testing.T) {
+	const n = 1_000_000
+	s := newTestSealer(t)
+	rec := make([]byte, s.Overhead())
+	nonces := make([][nonceSize]byte, n)
+	for i := range nonces {
+		if err := s.SealInto(rec, nil); err != nil {
+			t.Fatal(err)
+		}
+		copy(nonces[i][:], rec)
+	}
+	slices.SortFunc(nonces, func(a, b [nonceSize]byte) int { return bytes.Compare(a[:], b[:]) })
+	for i := 1; i < n; i++ {
+		if nonces[i] == nonces[i-1] {
+			t.Fatalf("nonce %x repeated within %d seals", nonces[i], n)
 		}
 	}
 }

@@ -104,14 +104,30 @@ func resolve(opts Options) (Options, error) {
 
 // Open validates the options and constructs a fresh client. With
 // DataDir set, the durable storage file is (re)initialised from
-// scratch — resuming a persisted image goes through Restore.
+// scratch — resuming a persisted image goes through Restore — and the
+// client boots at NextEpoch, so re-initialising a directory under the
+// same key never replays an earlier boot's nonce stream.
 func Open(opts Options) (*Client, error) {
+	epoch, err := NextEpoch(opts)
+	if err != nil {
+		return nil, err
+	}
+	return OpenAt(opts, epoch)
+}
+
+// OpenAt is Open booting at an explicit epoch, which must be at least
+// NextEpoch(opts). The engine opens every shard at the highest of its
+// shards' NextEpoch, so they agree.
+func OpenAt(opts Options, epoch uint64) (*Client, error) {
 	opts, err := resolve(opts)
 	if err != nil {
 		return nil, err
 	}
-	c, cfg, err := prepare(opts, 0)
+	c, cfg, err := prepare(opts, epoch)
 	if err != nil {
+		return nil, err
+	}
+	if err := c.recordEpoch(); err != nil {
 		return nil, err
 	}
 	if err := c.clearStaleState(); err != nil {
@@ -129,9 +145,9 @@ func Open(opts Options) (*Client, error) {
 }
 
 // prepare derives the epoch-salted key material and builds the horam
-// configuration plus a client shell. Open uses epoch 0; Restore uses
-// the snapshot's epoch + 1 so no RNG or nonce stream replays (see the
-// epoch discussion in persist.go).
+// configuration plus a client shell. Open and Restore both boot one
+// past every epoch the data directory has seen, so no RNG or nonce
+// stream replays (see the epoch discussion in persist.go).
 func prepare(opts Options, epoch uint64) (*Client, horam.Config, error) {
 	seed := opts.Seed
 	var sealer, snapSealer blockcipher.Sealer

@@ -5,6 +5,7 @@
 //	DataDir/storage.dat   sealed storage-tier slots (device.File)
 //	DataDir/storage.gen   shuffle generation marker {started, completed}
 //	DataDir/state.snap    sealed control-state snapshot (SaveSnapshot)
+//	DataDir/boot.epoch    highest boot epoch ever used here
 //
 // The storage file is the durable ground truth for storage-resident
 // blocks; state.snap recovers everything else — the permutation list,
@@ -13,11 +14,14 @@
 // the sealer, the snapshot sealer and every RNG stream are re-derived
 // from the key the operator supplies at restart.
 //
-// Epochs. Each Restore bumps a key-derivation epoch (stored in the
-// snapshot) and salts every derived nonce/RNG stream with it, so a
-// rebooted instance can never replay the nonce sequence or randomness
-// of a previous boot — re-sealing a block after a restore always uses
-// a fresh CTR IV.
+// Epochs. Every boot over a data directory — Open or Restore — takes
+// a key-derivation epoch one past any the directory has recorded (in
+// boot.epoch or a readable snapshot), records it durably before the
+// first seal, and salts every derived nonce/RNG stream with it, so a
+// rebooted or re-initialised instance can never replay the nonce
+// sequence or randomness of a previous boot. Under AES-GCM a replayed
+// nonce would leak the authentication key. An in-memory client (no
+// DataDir) always boots at epoch 0, so it needs a fresh key per boot.
 //
 // Consistency. Storage slots are only written during shuffle periods;
 // horam brackets each period's writes with the storage.gen marker
@@ -33,8 +37,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 
@@ -51,12 +57,80 @@ const (
 	GenFileName       = "storage.gen"
 	StateFileName     = "state.snap"
 	StatePrevFileName = "state.snap.prev"
+	EpochFileName     = "boot.epoch"
 )
 
 func (c *Client) storagePath() string   { return filepath.Join(c.dataDir, StorageFileName) }
 func (c *Client) genPath() string       { return filepath.Join(c.dataDir, GenFileName) }
 func (c *Client) statePath() string     { return filepath.Join(c.dataDir, StateFileName) }
 func (c *Client) statePrevPath() string { return filepath.Join(c.dataDir, StatePrevFileName) }
+func (c *Client) epochPath() string     { return filepath.Join(c.dataDir, EpochFileName) }
+
+// recordEpoch makes the client's boot epoch durable. Open and Restore
+// call it before anything is sealed, so a crash at any later point
+// still leaves the next boot a higher epoch to start from.
+func (c *Client) recordEpoch() error {
+	if c.dataDir == "" {
+		return nil
+	}
+	return snapshot.WriteFile(c.epochPath(), binary.BigEndian.AppendUint64(nil, c.epoch))
+}
+
+// recordedEpoch reads the directory's boot.epoch; ok is false when
+// there is none. A record that exists but does not read back is an
+// error: it is the only witness of boots that never checkpointed.
+func (c *Client) recordedEpoch() (epoch uint64, ok bool, err error) {
+	raw, err := snapshot.ReadFile(c.epochPath())
+	if errors.Is(err, fs.ErrNotExist) {
+		return 0, false, nil
+	}
+	if err == nil && len(raw) != 8 {
+		err = fmt.Errorf("%s holds %d bytes, want 8", EpochFileName, len(raw))
+	}
+	if err != nil {
+		return 0, false, fmt.Errorf("core: boot epoch record unreadable (remove the data directory to start over): %w", err)
+	}
+	return binary.BigEndian.Uint64(raw), true, nil
+}
+
+// NextEpoch reports the epoch a fresh Open over opts.DataDir boots at:
+// one past the highest epoch in the directory's boot.epoch or in a
+// snapshot that opens under opts.Key, and 0 when there is none (always
+// 0 without a DataDir).
+func NextEpoch(opts Options) (uint64, error) {
+	opts, err := resolve(opts)
+	if err != nil || opts.DataDir == "" {
+		return 0, err
+	}
+	probe, _, err := prepare(opts, 0)
+	if err != nil {
+		return 0, err
+	}
+	next, err := probe.nextAfterRecord(0)
+	if err != nil {
+		return 0, err
+	}
+	for _, p := range []string{probe.statePath(), probe.statePrevPath()} {
+		// A snapshot that does not open was sealed under another key
+		// or format, so its nonces cannot collide with this key's.
+		if shard, err := loadShard(probe.snapSealer, p); err == nil {
+			next = max(next, shard.Epoch+1)
+		}
+	}
+	return next, nil
+}
+
+// nextAfterRecord returns max(epoch, recorded epoch + 1).
+func (c *Client) nextAfterRecord(epoch uint64) (uint64, error) {
+	rec, ok, err := c.recordedEpoch()
+	if err != nil {
+		return 0, err
+	}
+	if ok {
+		epoch = max(epoch, rec+1)
+	}
+	return epoch, nil
+}
 
 // wireDurability points cfg's storage tier at the backing file and
 // installs the shuffle-generation marker hook.
@@ -111,8 +185,9 @@ func (c *Client) markFreshLayout() error {
 	return snapshot.WriteGen(c.genPath(), snapshot.Gen{})
 }
 
-// Epoch returns the client's key-derivation boot generation: 0 for a
-// fresh Open, previous+1 after each Restore.
+// Epoch returns the client's key-derivation boot generation: one past
+// every epoch its data directory has seen (0 for a fresh directory or
+// none).
 func (c *Client) Epoch() uint64 { return c.epoch }
 
 // Checkpoint returns the number of SaveSnapshot calls over the
@@ -211,9 +286,11 @@ func loadShard(sealer blockcipher.Sealer, path string) (*snapshot.Shard, error) 
 
 // Peek reads the durable directory's newest snapshot (falling back to
 // the rotated previous one if the newest write never landed) and
-// reports its epoch and checkpoint without building a client. The
-// engine uses it to agree on one target checkpoint and one fresh boot
-// epoch across all shards before restoring any of them.
+// reports its checkpoint, and the highest epoch the directory has
+// booted at (the snapshot's or boot.epoch's), without building a
+// client. The engine uses it to agree on one target checkpoint and
+// one fresh boot epoch across all shards before restoring any of
+// them.
 func Peek(opts Options) (epoch, checkpoint uint64, err error) {
 	opts, err = resolve(opts)
 	if err != nil {
@@ -233,12 +310,16 @@ func Peek(opts Options) (epoch, checkpoint uint64, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	return shard.Epoch, shard.Checkpoint, nil
+	next, err := probe.nextAfterRecord(shard.Epoch + 1)
+	if err != nil {
+		return 0, 0, err
+	}
+	return next - 1, shard.Checkpoint, nil
 }
 
 // Restore resumes a client from the image a previous SaveSnapshot left
-// in opts.DataDir, at the newest recoverable checkpoint, booting at
-// the stored epoch + 1. The options must carry the same geometry and
+// in opts.DataDir, at the newest recoverable checkpoint, booting one
+// past the highest epoch the directory has seen. The options must carry the same geometry and
 // key material as the instance that saved; the snapshot checksum,
 // sealing tag, geometry echo and shuffle-generation marker are all
 // verified before any state is adopted.
@@ -258,7 +339,7 @@ func RestoreCheckpoint(opts Options, checkpoint, epoch uint64) (*Client, error) 
 // restoreAt implements Restore and RestoreCheckpoint. With pin set,
 // wantCkpt[0] selects the exact checkpoint and epoch is used verbatim;
 // otherwise the newest available snapshot wins and the boot epoch is
-// its stored epoch + 1.
+// one past both its stored epoch and boot.epoch.
 func restoreAt(opts Options, epoch uint64, pin bool, wantCkpt ...uint64) (*Client, error) {
 	opts, err := resolve(opts)
 	if err != nil {
@@ -294,7 +375,9 @@ func restoreAt(opts Options, epoch uint64, pin bool, wantCkpt ...uint64) (*Clien
 		shard = prev
 	}
 	if !pin {
-		epoch = shard.Epoch + 1
+		if epoch, err = probe.nextAfterRecord(shard.Epoch + 1); err != nil {
+			return nil, err
+		}
 	}
 
 	gen, err := snapshot.ReadGen(filepath.Join(opts.DataDir, GenFileName))
@@ -312,16 +395,18 @@ func restoreAt(opts Options, epoch uint64, pin bool, wantCkpt ...uint64) (*Clien
 	if err != nil {
 		return nil, err
 	}
+	if err := c.recordEpoch(); err != nil {
+		return nil, err
+	}
 	c.checkpoint = shard.Checkpoint
 	c.oram, err = horam.Restore(cfg, shard)
 	if err != nil {
 		return nil, err
 	}
-	// Persist the epoch bump IMMEDIATELY (without advancing the
-	// checkpoint counter): if this boot crashed before its first real
-	// checkpoint, the next restore would otherwise read the old
-	// snapshot, boot at the same epoch, and replay this boot's
-	// nonce/RNG streams under the epoch-independent sealing key.
+	// Re-save the restored image at the new epoch (without advancing
+	// the checkpoint counter), so state.snap is the image this boot
+	// runs from: a shard rolled back to its previous copy does not
+	// leave the newer, abandoned checkpoint current.
 	if err := c.saveLocked(c.checkpoint); err != nil {
 		c.oram.CloseStorage()
 		return nil, fmt.Errorf("core: persisting restored epoch: %w", err)

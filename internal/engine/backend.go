@@ -76,8 +76,8 @@ type localShard struct {
 }
 
 // open builds the shard fresh (reinitialising any durable layout).
-func (l *localShard) open() error {
-	c, err := core.Open(l.opts)
+func (l *localShard) open(epoch uint64) error {
+	c, err := core.OpenAt(l.opts, epoch)
 	if err != nil {
 		return err
 	}

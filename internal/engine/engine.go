@@ -308,7 +308,7 @@ type shardPlan struct {
 // Per-shard key material: with a real key, shard keys are PRF
 // derivations of the master key, so every shard gets an independent
 // sealer nonce stream and independent randomness — sharing the raw
-// master key across shards would reuse CTR keystreams. Insecure mode
+// master key across shards would reuse GCM nonces. Insecure mode
 // derives per-shard seeds from the engine seed instead. The partition
 // derives from the epoch-INDEPENDENT base seed: it must come out
 // identical on every restore or the shard-local address spaces would
@@ -473,27 +473,31 @@ func assemble(opts Options, restoring bool) (*Engine, error) {
 		locals[s] = &localShard{opts: plan.shardOpts[s]}
 	}
 
-	// Restores must land every shard on ONE consistent checkpoint cut
-	// with ONE fresh boot epoch, even when a crash interrupted a
-	// previous checkpoint or restore loop and left the per-shard
-	// snapshots staggered: the cut is the newest checkpoint every shard
-	// still has (current or rotated-previous copy), and the epoch is
-	// one past the highest any shard has ever used, so no shard can
-	// replay a nonce/RNG stream.
+	// Every shard boots at ONE fresh epoch, one past the highest any
+	// shard has ever used, so no shard can replay a nonce/RNG stream
+	// even when a crash interrupted a previous open, checkpoint or
+	// restore loop and left the shards staggered. Restores also land
+	// every shard on ONE consistent checkpoint cut: the newest
+	// checkpoint every shard still has (current or rotated-previous
+	// copy).
 	var targetCkpt, targetEpoch uint64
-	if restoring {
-		for s, l := range locals {
-			epoch, ckpt, err := l.Peek()
+	for s, l := range locals {
+		if !restoring {
+			next, err := core.NextEpoch(l.opts)
 			if err != nil {
 				return nil, fmt.Errorf("engine: shard %d: %w", s, err)
 			}
-			if s == 0 || ckpt < targetCkpt {
-				targetCkpt = ckpt
-			}
-			if epoch >= targetEpoch {
-				targetEpoch = epoch + 1
-			}
+			targetEpoch = max(targetEpoch, next)
+			continue
 		}
+		epoch, ckpt, err := l.Peek()
+		if err != nil {
+			return nil, fmt.Errorf("engine: shard %d: %w", s, err)
+		}
+		if s == 0 || ckpt < targetCkpt {
+			targetCkpt = ckpt
+		}
+		targetEpoch = max(targetEpoch, epoch+1)
 	}
 
 	backends := make([]ShardBackend, opts.Shards)
@@ -502,7 +506,7 @@ func assemble(opts Options, restoring bool) (*Engine, error) {
 		if restoring {
 			err = l.RestoreCheckpoint(targetCkpt, targetEpoch)
 		} else {
-			err = l.open()
+			err = l.open(targetEpoch)
 		}
 		if err != nil {
 			// Unwind the shards already open, or their resources leak

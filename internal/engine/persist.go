@@ -47,17 +47,20 @@ func manifestSealer(opts Options, prf *blockcipher.PRF, epoch uint64) (blockciph
 }
 
 // wireManifest records the geometry echo and builds the manifest
-// sealer once the shards are up (their shared epoch is known then).
-// The shards' epoch AND lifetime checkpoint counters must agree: the
-// engine saves all shards in lockstep, so a divergence means the
-// directory holds snapshots from different checkpoints (e.g. a crash
-// midway through a SaveSnapshot loop) and resuming the mix would break
-// the leveled-cycle-count invariant. With remote backends the same
+// sealer once the shards are up (their epochs are known then). The
+// shards' lifetime checkpoint counters must agree: the engine saves
+// all shards in lockstep, so a divergence means the directory holds
+// snapshots from different checkpoints (e.g. a crash midway through a
+// SaveSnapshot loop) and resuming the mix would break the
+// leveled-cycle-count invariant. With remote backends the same
 // agreement check runs over the wire (PEEK), so a cluster assembled
 // from nodes restored at different checkpoint cuts is refused exactly
-// like an in-process directory would be.
+// like an in-process directory would be. Epochs need not agree: each
+// node boots past its own directory's history, and the engine reports
+// the highest (in-process shards always share one).
 func (e *Engine) wireManifest(opts Options, prf *blockcipher.PRF) error {
-	epoch, ckpt, err := e.shards[0].backend.Peek()
+	var epoch uint64
+	_, ckpt, err := e.shards[0].backend.Peek()
 	if err != nil {
 		return fmt.Errorf("engine: shard 0: %w", err)
 	}
@@ -66,9 +69,7 @@ func (e *Engine) wireManifest(opts Options, prf *blockcipher.PRF) error {
 		if err != nil {
 			return fmt.Errorf("engine: shard %d: %w", sh.id, err)
 		}
-		if got != epoch {
-			return fmt.Errorf("engine: shard %d restored at epoch %d, shard 0 at %d; the per-shard snapshots are from different checkpoints", sh.id, got, epoch)
-		}
+		epoch = max(epoch, got)
 		if gotCkpt != ckpt {
 			return fmt.Errorf("engine: shard %d restored at checkpoint %d, shard 0 at %d; the directory mixes snapshots from different checkpoints (crash during SaveSnapshot?)", sh.id, gotCkpt, ckpt)
 		}
@@ -97,8 +98,9 @@ func (e *Engine) wireManifest(opts Options, prf *blockcipher.PRF) error {
 // any traffic through it.
 func (e *Engine) ManifestEcho() snapshot.Manifest { return e.manifest }
 
-// Epoch returns the engine's key-derivation boot generation: 0 for a
-// fresh New, previous+1 after each Restore.
+// Epoch returns the engine's key-derivation boot generation: one past
+// every epoch its data directory has seen (0 for a fresh directory or
+// none).
 func (e *Engine) Epoch() uint64 { return e.manifest.Epoch }
 
 // Peek reports the live epoch and lifetime checkpoint counter. Shard

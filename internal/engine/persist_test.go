@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/blockcipher"
+	"repro/internal/core"
 )
 
 func persistOpts(dir string, shards int) Options {
@@ -298,4 +299,46 @@ func TestSaveSnapshotConcurrentWithTraffic(t *testing.T) {
 	}
 	defer r.Close()
 	checkModel(t, r, model, "after concurrent-checkpoint run")
+}
+
+// TestFreshNewAgreesOnEpoch re-initialises an engine directory whose
+// shards have staggered boot histories (one shard's directory was
+// re-opened on its own, as a crash midway through a multi-shard open
+// leaves it): the fresh engine must still boot every shard at one
+// epoch, past the highest any of them has used.
+func TestFreshNewAgreesOnEpoch(t *testing.T) {
+	dir := t.TempDir()
+	opts := persistOpts(dir, 2)
+	e, err := New(opts)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if e.Epoch() != 0 {
+		t.Fatalf("fresh directory: Epoch = %d, want 0", e.Epoch())
+	}
+	e.Close()
+
+	plan, err := planShards(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := core.Open(plan.shardOpts[1])
+	if err != nil {
+		t.Fatalf("core.Open shard 1: %v", err)
+	}
+	c.Close()
+
+	e, err = New(opts)
+	if err != nil {
+		t.Fatalf("New over staggered shard epochs: %v", err)
+	}
+	defer e.Close()
+	if e.Epoch() != 2 {
+		t.Fatalf("Epoch = %d, want 2 (one past shard 1's re-open)", e.Epoch())
+	}
+	for s, sh := range e.shards {
+		if got := sh.client.Epoch(); got != 2 {
+			t.Fatalf("shard %d booted at epoch %d, want 2", s, got)
+		}
+	}
 }

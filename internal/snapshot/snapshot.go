@@ -43,8 +43,12 @@ import (
 	"path/filepath"
 )
 
-// Version is the container format version this package writes.
-const Version = 1
+// Version is the container format version this package writes. It
+// tracks the sealed contents too: version 2 marks the switch of every
+// sealed record, and of the storage slots a snapshot describes, from
+// AES-CTR + HMAC-SHA256 to AES-GCM, so a data directory written by an
+// older build is refused by version before anything fails to open.
+const Version = 2
 
 // magic identifies a snapshot container file.
 var magic = [8]byte{'H', 'O', 'R', 'A', 'M', 'S', 'N', 'P'}
