@@ -31,8 +31,14 @@ test-shuffle:
 lint:
 	./scripts/lint.sh
 
+# The second run repeats the packages on the concurrent serving path
+# (every connection goroutine calls engine.Batch) at 1 and 4 CPUs. It
+# skips the constant-time differential, which takes about two minutes
+# per run under the race detector and has no connection concurrency;
+# the first run covers it.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -cpu 1,4 -count=3 -skip TestConstantTimeDifferentialAndTraceParity ./internal/server/ ./internal/engine/ ./internal/cluster/
 
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...

@@ -1,7 +1,7 @@
 // multiclient demonstrates the batched serving layer under real
 // concurrency: N independent TCP clients hammer one horamd-style
-// server at once, and the server's batching window groups their
-// in-flight requests into shared reorder-buffer batches — one storage
+// server at once, and the engine's per-shard queues group their
+// in-flight requests into shared reorder-buffer drains — one storage
 // load amortised across c in-memory hits (§4.2) even though no single
 // client ever batches anything itself.
 //
@@ -84,7 +84,7 @@ func main() {
 	total := *clients * *ops
 	fmt.Printf("%d requests in %v wall time (%.0f req/s)\n",
 		total, wall.Round(time.Millisecond), float64(total)/wall.Seconds())
-	fmt.Printf("scheduler batches: %d, mean batch size %.2f, histogram %s\n",
+	fmt.Printf("server windows: %d, mean window size %.2f, histogram %s\n",
 		st.Batches, st.MeanBatch, st.HistogramString())
 	cs := store.Stats()
 	fmt.Printf("engine: shards=%d hits=%d misses=%d shuffles=%d simtime=%v\n",

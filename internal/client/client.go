@@ -3,7 +3,7 @@
 // many goroutines may issue requests on one connection and each
 // in-flight request only holds the send mutex while its bytes are
 // written, so requests from concurrent callers interleave on the wire
-// and land in the server's batching window together — and the MULTI
+// and the server answers them in order — and the MULTI
 // verb, which runs a whole slice of operations as one scheduler batch
 // on the server.
 package client
@@ -511,15 +511,6 @@ func (c *Client) TraceDump() ([]byte, error) {
 		return nil, fmt.Errorf("client: bad TRACE DUMP payload: %w", err)
 	}
 	return raw, nil
-}
-
-// StatInt parses one numeric field of a Stats map.
-func StatInt(kv map[string]string, key string) (int64, error) {
-	v, ok := kv[key]
-	if !ok {
-		return 0, fmt.Errorf("client: stats field %q missing", key)
-	}
-	return strconv.ParseInt(v, 10, 64)
 }
 
 func parseOKLine(line string) error {

@@ -34,17 +34,3 @@ func TestParseOKLine(t *testing.T) {
 		t.Error("ERR line accepted")
 	}
 }
-
-func TestStatInt(t *testing.T) {
-	kv := map[string]string{"requests": "42", "mean_batch": "3.5"}
-	n, err := StatInt(kv, "requests")
-	if err != nil || n != 42 {
-		t.Errorf("StatInt = %d, %v", n, err)
-	}
-	if _, err := StatInt(kv, "absent"); err == nil {
-		t.Error("missing key accepted")
-	}
-	if _, err := StatInt(kv, "mean_batch"); err == nil {
-		t.Error("non-integer accepted")
-	}
-}

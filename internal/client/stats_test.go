@@ -74,6 +74,7 @@ func TestParseStatsErrors(t *testing.T) {
 	}{
 		{func(kv map[string]string) { delete(kv, "requests") }, "requests"},
 		{func(kv map[string]string) { kv["batches"] = "many" }, "batches"},
+		{func(kv map[string]string) { kv["requests"] = "3.5" }, "requests"},
 		{func(kv map[string]string) { kv["max_cycle"] = "128" }, "max_cycle"},
 		{func(kv map[string]string) { delete(kv, "s1_cycles") }, "s1_cycles"},
 		{func(kv map[string]string) { kv["kv_misses"] = "-" }, "kv_misses"},

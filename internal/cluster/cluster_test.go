@@ -65,7 +65,6 @@ func serveEngine(t *testing.T, shardOpts engine.Options) string {
 	srv, err := server.New(server.Config{
 		Engine:       e,
 		ShardControl: true,
-		BatchWindow:  200 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"strconv"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/client"
 	"repro/internal/core"
@@ -91,28 +90,29 @@ func (r *remoteShard) PadToCycles(target int64) (int64, error) {
 // Stats reconstructs the node's scheme counters from its STATS line.
 // The engine's Stats path has no error channel (counters are
 // best-effort diagnostics, unlike Cycles which correctness depends
-// on), so a node that cannot answer contributes zeros.
+// on), so a node that cannot answer, or answers a line ParseStats
+// refuses, contributes zeros.
 func (r *remoteShard) Stats() core.Stats {
 	kv, err := r.c.Stats()
 	if err != nil {
 		return core.Stats{}
 	}
+	line, err := client.ParseStats(kv)
+	if err != nil || len(line.PerShard) == 0 {
+		return core.Stats{}
+	}
 	var st core.Stats
-	st.Requests, _ = client.StatInt(kv, "requests") //horam:errok best-effort diagnostics; a missing field reads as zero
-	st.Hits, _ = client.StatInt(kv, "hits")         //horam:errok best-effort diagnostics
-	st.Misses, _ = client.StatInt(kv, "misses")     //horam:errok best-effort diagnostics
-	st.Shuffles, _ = client.StatInt(kv, "shuffles") //horam:errok best-effort diagnostics
-	st.ShuffleQuanta, _ = client.StatInt(kv, "quanta")
+	st.Requests = line.Requests
+	st.Hits = line.Hits
+	st.Misses = line.Misses
+	st.Shuffles = line.Shuffles
+	st.ShuffleQuanta = line.Quanta
 	// The node is a 1-shard engine, so its shard 0 counters are the
 	// shard's: cumulative cycles live under s0_cycles, not a top-level
 	// key.
-	st.Cycles, _ = client.StatInt(kv, "s0_cycles") //horam:errok best-effort diagnostics
-	if d, err := time.ParseDuration(kv["max_cycle"]); err == nil {
-		st.MaxCycleTime = d
-	}
-	if d, err := time.ParseDuration(kv["simtime"]); err == nil {
-		st.SimulatedTime = d
-	}
+	st.Cycles = line.PerShard[0].Cycles
+	st.MaxCycleTime = line.MaxCycle
+	st.SimulatedTime = line.SimTime
 	return st
 }
 

@@ -2,7 +2,7 @@
 // stable client API over the full engine in internal/horam. It owns
 // key handling (one 32-byte master key fans out to the sealer and the
 // randomness), picks the paper's defaults for every knob, and offers
-// both a simple Read/Write interface and the batched interface the
+// both a simple Read/Write interface and the Batch interface the
 // scheduler was designed for.
 //
 // A minimal session:
@@ -62,15 +62,9 @@ type Options = config.Common
 // use: the engine itself is single-threaded (the secure scheduler
 // must observe one serial request stream), so the client serialises
 // every engine entry on an internal mutex. Concurrent callers who
-// want their requests grouped into one scheduler batch should use
-// Enqueue/Flush or Batch rather than racing on Read/Write — see
-// internal/server for the batching front end built on top.
-//
-// Two locks split the queue from the engine: Enqueue and
-// PendingFutures only touch queue state (mu), so they never wait for
-// an in-flight drain (oramMu) to finish — internal/engine scatters a
-// batch across shards without stalling behind whichever shard is
-// mid-drain.
+// want their requests grouped into one scheduler batch should go
+// through internal/engine, whose per-shard queues merge concurrent
+// batches into one Batch call per drain.
 type Client struct {
 	oram      *horam.ORAM
 	blockSize int
@@ -82,11 +76,6 @@ type Client struct {
 	snapSealer blockcipher.Sealer
 
 	oramMu sync.Mutex // serialises all oram entries
-
-	mu        sync.Mutex // guards pending, futures, drainHook
-	pending   []*Request
-	futures   []*Future
-	drainHook func(n int)
 }
 
 // resolve fills defaults and validates the options through the shared

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 )
 
@@ -99,6 +100,65 @@ func TestBatch(t *testing.T) {
 	if !bytes.Equal(read.Result, bytes.Repeat([]byte{9}, 64)) {
 		t.Fatal("batch read wrong")
 	}
+}
+
+// TestBatchValidation: Batch refuses malformed requests before any
+// scheduler cycle runs.
+func TestBatchValidation(t *testing.T) {
+	c := open(t)
+	for _, r := range []*Request{
+		{Op: OpRead, Addr: 999},
+		{Op: OpRead, Addr: -1},
+		{Op: OpWrite, Addr: 0, Data: []byte("short")},
+	} {
+		if err := c.Batch([]*Request{r}); err == nil {
+			t.Errorf("Batch accepted %+v", r)
+		}
+	}
+}
+
+// TestConcurrentClientUse hammers the client from many goroutines —
+// mixed single ops, batches and stats — to prove the mutex discipline
+// under the race detector.
+func TestConcurrentClientUse(t *testing.T) {
+	c := open(t)
+	const workers = 8
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			base := int64(w * 16)
+			payload := bytes.Repeat([]byte{byte(w + 1)}, 64)
+			for i := 0; i < 10; i++ {
+				a := base + int64(i%16)
+				if err := c.Write(a, payload); err != nil {
+					t.Error(err)
+					return
+				}
+				got, err := c.Read(a)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(got, payload) {
+					t.Errorf("worker %d: read-your-write violated at %d", w, a)
+					return
+				}
+				r := &Request{Op: OpRead, Addr: a}
+				if err := c.Batch([]*Request{r}); err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(r.Result, payload) {
+					t.Errorf("worker %d: batch read-your-write violated at %d", w, a)
+					return
+				}
+				c.Stats()
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 func TestStatsProgress(t *testing.T) {

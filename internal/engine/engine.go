@@ -62,18 +62,32 @@
 // both properties: per-cycle bus shape per shard, and cross-shard
 // cycle equality under adversarially skewed workloads.
 //
-// Residual channel: leveling equalises counts at batch boundaries,
-// not the real-time interleaving of per-shard device activity while a
-// batch is in flight. The simulator's threat model (recorded
-// per-device traces, virtual clocks) has no cross-shard wall-clock
-// ordering; a deployment with S physically separate devices should
-// drive shards in lockstep cycles if that timing channel matters.
+// Leveling happens at quiescence, not per caller: concurrent Batch
+// callers — every connection of a horamd daemon, gateway or shard
+// node, and okv's overlapping combiner batches — share one pass, run
+// by whichever batch finishes last. Under sustained overlapping
+// traffic the engine may not go quiescent between batches, so
+// per-shard counts can drift apart while the load lasts; they are
+// equalised the moment it stops.
+// No serving layer forces a quiescent point after each of its batches
+// (internal/server drains every connection's batch straight into the
+// shard queues), so quiescence is the one point the adversary model
+// compares counts at.
+//
+// Residual channel: leveling equalises counts at quiescence, not the
+// real-time interleaving of per-shard device activity while batches
+// are in flight. The simulator's threat model (recorded per-device
+// traces, virtual clocks) has no cross-shard wall-clock ordering; a
+// deployment with S physically separate devices whose adversary
+// watches per-shard traffic rates in real time should drive shards in
+// lockstep cycles if that timing channel matters.
 package engine
 
 import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime"
 	"sync"
 	"time"
 
@@ -109,9 +123,8 @@ var ErrClosed = errors.New("engine: closed")
 type Options = config.Common
 
 // future completes when the shard's scheduler drains the request it
-// tracks. It mirrors core.Future one transport level up: the engine
-// queues requests itself now, so futures no longer depend on the
-// shard being in-process.
+// tracks. The engine queues requests itself, so futures do not depend
+// on the shard being in-process.
 type future struct {
 	done chan struct{}
 	err  error
@@ -179,16 +192,24 @@ func (s *shard) depth() int {
 // happens only for successful drains and before their futures
 // complete, so stats snapshots taken after a finished batch always
 // include it.
+//
+// Before each drain the goroutine yields once. A kicking caller hands
+// its processor straight to this goroutine, so without the yield a
+// drain would start before other callers that are already runnable
+// (connections whose requests just arrived) could enqueue, and with
+// one CPU concurrent batches would almost never merge. The yield lets
+// them join this drain: group commit without a timer.
 func (s *shard) run() {
 	defer close(s.done)
 	for range s.kick {
+		runtime.Gosched()
 		s.drainQueue()
 	}
 }
 
 // drainQueue snapshots the queue and runs it through the backend as
 // one batch. Requests enqueued while the drain is running wait for
-// the next kick, exactly as the old core reorder-buffer flush did.
+// the next kick.
 func (s *shard) drainQueue() {
 	s.qmu.Lock()
 	reqs, futs := s.queue, s.waiters

@@ -1,48 +1,43 @@
-// Fault-injection regression tests for the batcher's per-task error
-// attribution: when one chunk of a window fails, only the tasks whose
-// requests were in that chunk see the error — tasks whose chunks
-// drained (before OR after the failing one) get their real results.
+// Fault-injection regression test for per-dispatch error attribution:
+// every connection's request batch is its own engine batch, so when
+// one of several concurrent dispatches fails, only that dispatch sees
+// the error — the others get their real results.
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 )
 
-var errChunkFault = errors.New("injected chunk fault")
+var errDrainFault = errors.New("injected drain fault")
 
-// dispatchWindow submits the tasks into one batching window with
-// deterministic ordering (the batcher collects submissions in arrival
-// order) and returns each task's delivered error.
-func dispatchWindow(t *testing.T, s *Server, tasks [][]*core.Request) []error {
-	t.Helper()
-	errs := make([]error, len(tasks))
+// dispatchConcurrently releases all batches at once, one goroutine
+// each, and returns each dispatch's error.
+func dispatchConcurrently(s *Server, batches [][]*core.Request) []error {
+	errs := make([]error, len(batches))
+	start := make(chan struct{})
 	var wg sync.WaitGroup
-	for i, reqs := range tasks {
+	for i, reqs := range batches {
 		wg.Add(1)
 		go func(i int, reqs []*core.Request) {
 			defer wg.Done()
+			<-start
 			errs[i] = s.dispatch(reqs)
 		}(i, reqs)
-		// Give the batcher time to pull this task before the next is
-		// submitted, so task order — and therefore chunk layout — is
-		// deterministic under the long window below.
-		time.Sleep(20 * time.Millisecond)
 	}
+	close(start)
 	wg.Wait()
 	return errs
 }
 
-func TestBatcherPerTaskErrorAttribution(t *testing.T) {
-	// MaxBatch 2 with three 2-request tasks → one window of exactly
-	// three chunks, one chunk per task.
-	_, srv := startServer(t, Config{BatchWindow: 500 * time.Millisecond, MaxBatch: 2})
+func TestConcurrentDispatchFaultIsolation(t *testing.T) {
+	_, srv := startServer(t, Config{})
 
 	var faultAddr atomic.Int64
 	faultAddr.Store(-1)
@@ -50,91 +45,71 @@ func TestBatcherPerTaskErrorAttribution(t *testing.T) {
 	srv.drain = func(reqs []*core.Request) error {
 		for _, r := range reqs {
 			if r.Addr == faultAddr.Load() {
-				return fmt.Errorf("%w (addr %d)", errChunkFault, r.Addr)
+				return fmt.Errorf("%w (addr %d)", errDrainFault, r.Addr)
 			}
 		}
 		return realDrain(reqs)
 	}
 
-	mkTask := func(base int64) []*core.Request {
-		return []*core.Request{
-			{Op: core.OpRead, Addr: base},
-			{Op: core.OpRead, Addr: base + 1},
+	// Eight two-write batches on disjoint addresses; batch i writes
+	// the byte i+1 to addresses 10i and 10i+1.
+	const n = 8
+	writes := func() [][]*core.Request {
+		out := make([][]*core.Request, n)
+		for i := range out {
+			payload := bytes.Repeat([]byte{byte(i + 1)}, 64)
+			out[i] = []*core.Request{
+				{Op: core.OpWrite, Addr: int64(10 * i), Data: payload},
+				{Op: core.OpWrite, Addr: int64(10*i + 1), Data: payload},
+			}
 		}
+		return out
 	}
 
-	// Fault the MIDDLE task's chunk: the first chunk already drained
-	// successfully when the fault hits, the third is attempted after
-	// it. Before the fix, all three clients saw the error.
-	faultAddr.Store(10)
-	errs := dispatchWindow(t, srv, [][]*core.Request{mkTask(0), mkTask(10), mkTask(20)})
-	if errs[0] != nil {
-		t.Errorf("task 0 (chunk drained before the fault) got %v, want nil", errs[0])
-	}
-	if !errors.Is(errs[1], errChunkFault) {
-		t.Errorf("task 1 (the faulted chunk) got %v, want the injected fault", errs[1])
-	}
-	if errs[2] != nil {
-		t.Errorf("task 2 (chunk after the fault) got %v, want nil — its requests really executed", errs[2])
-	}
-
-	// Fault the FIRST task's chunk: later chunks must still be
-	// attempted and succeed (before the fix they were never attempted
-	// yet reported the first chunk's error).
-	faultAddr.Store(0)
-	errs = dispatchWindow(t, srv, [][]*core.Request{mkTask(0), mkTask(10)})
-	if !errors.Is(errs[0], errChunkFault) {
-		t.Errorf("task 0 got %v, want the injected fault", errs[0])
-	}
-	if errs[1] != nil {
-		t.Errorf("task 1 got %v, want nil", errs[1])
-	}
-
-	// No fault: everyone succeeds.
-	faultAddr.Store(-1)
-	errs = dispatchWindow(t, srv, [][]*core.Request{mkTask(0), mkTask(10)})
+	// Fault a middle batch: it alone must see the error.
+	const faulted = 3
+	faultAddr.Store(10 * faulted)
+	errs := dispatchConcurrently(srv, writes())
 	for i, err := range errs {
-		if err != nil {
-			t.Errorf("task %d got %v after fault cleared", i, err)
+		switch {
+		case i == faulted && !errors.Is(err, errDrainFault):
+			t.Errorf("batch %d (faulted) got %v, want the injected fault", i, err)
+		case i != faulted && err != nil:
+			t.Errorf("batch %d got %v, want nil — its requests really executed", i, err)
 		}
 	}
-}
+	// The serving counters count only windows that drained.
+	if st := srv.Stats(); st.Batches != n-1 || st.Requests != 2*(n-1) {
+		t.Errorf("counted %d windows / %d requests, want %d / %d", st.Batches, st.Requests, n-1, 2*(n-1))
+	}
 
-// TestBatcherSpanningTaskErrorAttribution covers a task whose requests
-// span a chunk boundary: it must see the error if ANY of its chunks
-// failed.
-func TestBatcherSpanningTaskErrorAttribution(t *testing.T) {
-	// MaxBatch 4; task A has 3 requests, task B has 3: chunks are
-	// [A0 A1 A2 B0] and [B1 B2] — B spans both chunks.
-	_, srv := startServer(t, Config{BatchWindow: 500 * time.Millisecond, MaxBatch: 4})
-
-	var faultAddr atomic.Int64
+	// Read everything back: the clean batches' writes landed, the
+	// faulted batch never reached the engine.
 	faultAddr.Store(-1)
-	realDrain := srv.drain
-	srv.drain = func(reqs []*core.Request) error {
-		for _, r := range reqs {
-			if r.Addr == faultAddr.Load() {
-				return errChunkFault
-			}
+	reads := make([]*core.Request, 0, 2*n)
+	for i := 0; i < n; i++ {
+		reads = append(reads,
+			&core.Request{Op: core.OpRead, Addr: int64(10 * i)},
+			&core.Request{Op: core.OpRead, Addr: int64(10*i + 1)})
+	}
+	if err := srv.dispatch(reads); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range reads {
+		i := int(r.Addr / 10)
+		want := bytes.Repeat([]byte{byte(i + 1)}, 64)
+		if i == faulted {
+			want = make([]byte, 64)
 		}
-		return realDrain(reqs)
-	}
-	taskA := []*core.Request{
-		{Op: core.OpRead, Addr: 0}, {Op: core.OpRead, Addr: 1}, {Op: core.OpRead, Addr: 2},
-	}
-	taskB := []*core.Request{
-		{Op: core.OpRead, Addr: 10}, {Op: core.OpRead, Addr: 11}, {Op: core.OpRead, Addr: 12},
+		if !bytes.Equal(r.Result, want) {
+			t.Errorf("addr %d reads %x, want %x", r.Addr, r.Result, want)
+		}
 	}
 
-	// Fault the second chunk (addr 11 is in it): A's only chunk is the
-	// first, which also carries B's first request — A must be clean, B
-	// must see the error.
-	faultAddr.Store(11)
-	errs := dispatchWindow(t, srv, [][]*core.Request{taskA, taskB})
-	if errs[0] != nil {
-		t.Errorf("task A got %v, want nil", errs[0])
-	}
-	if !errors.Is(errs[1], errChunkFault) {
-		t.Errorf("task B got %v, want the injected fault (its tail chunk failed)", errs[1])
+	// With the fault cleared every concurrent batch succeeds.
+	for i, err := range dispatchConcurrently(srv, writes()) {
+		if err != nil {
+			t.Errorf("batch %d got %v after the fault cleared", i, err)
+		}
 	}
 }

@@ -41,7 +41,7 @@ func fuzzServer(f *testing.F, kv bool) string {
 		f.Fatal(err)
 	}
 	f.Cleanup(func() { e.Close() })
-	cfg := Config{Engine: e, BatchWindow: time.Millisecond}
+	cfg := Config{Engine: e}
 	if kv {
 		store, err := okv.New(okv.Options{
 			Backend:       e,

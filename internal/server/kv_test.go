@@ -177,17 +177,27 @@ func TestKVStatsCounters(t *testing.T) {
 		"kv_dels":   2,
 		"kv_misses": 2, // ghost get + ghost del
 	}
+	st, err := client.ParseStats(kv)
+	if err != nil {
+		t.Fatalf("ParseStats: %v (line: %v)", err, kv)
+	}
+	if st.KV == nil {
+		t.Fatalf("STATS carries no kv group (line: %v)", kv)
+	}
+	got := map[string]int64{
+		"kv_count":  st.KV.Count,
+		"kv_gets":   st.KV.Gets,
+		"kv_sets":   st.KV.Sets,
+		"kv_dels":   st.KV.Dels,
+		"kv_misses": st.KV.Misses,
+	}
 	for k, n := range want {
-		got, err := client.StatInt(kv, k)
-		if err != nil {
-			t.Fatalf("STATS %s: %v (line: %v)", k, err, kv)
-		}
-		if got != n {
-			t.Errorf("STATS %s = %d, want %d", k, got, n)
+		if got[k] != n {
+			t.Errorf("STATS %s = %d, want %d", k, got[k], n)
 		}
 	}
-	if _, err := client.StatInt(kv, "kv_capacity"); err != nil {
-		t.Errorf("STATS kv_capacity missing: %v", err)
+	if st.KV.Capacity <= 0 {
+		t.Errorf("STATS kv_capacity = %d, want > 0", st.KV.Capacity)
 	}
 
 	// A plain block server must not advertise KV counters.

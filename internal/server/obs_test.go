@@ -18,9 +18,9 @@ import (
 )
 
 // runAuditWorkload serves a fresh engine through a fresh registry,
-// drives ops single-request windows (MaxBatch 1 drains each request
-// the moment it is queued, so the window structure is deterministic),
-// waits for quiescence and returns the audited snapshot.
+// drives ops single-request windows (each WRITE is one window, so the
+// window structure is deterministic), waits for quiescence and returns
+// the audited snapshot.
 //
 // hot=true hammers one address; hot=false scans uniformly. Equal op
 // count, equal batch structure — an adversary reading the audited
@@ -56,7 +56,7 @@ func runAuditWorkload(t *testing.T, shards int, hot, inject bool) string {
 				obs.Label{Key: "shard", Value: strconv.Itoa(i)})
 		}
 	}
-	addr, srv := startServer(t, Config{Engine: eng, Metrics: reg, MaxBatch: 1})
+	addr, srv := startServer(t, Config{Engine: eng, Metrics: reg})
 	c, err := client.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +135,7 @@ func TestMetricsEqualityCatchesInjectedLeak(t *testing.T) {
 // allocations per render once the scratch buffers are warm — the
 // regression guard for operator polling loops.
 func TestStatsRenderZeroAlloc(t *testing.T) {
-	addr, srv := startServer(t, Config{MaxBatch: 1})
+	addr, srv := startServer(t, Config{})
 	c, err := client.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +172,7 @@ func TestTraceVerb(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer(1 << 12)
 	eng.Observe(reg, tr)
-	addr, _ := startServer(t, Config{Engine: eng, Metrics: reg, Tracer: tr, MaxBatch: 1})
+	addr, _ := startServer(t, Config{Engine: eng, Metrics: reg, Tracer: tr})
 
 	c, err := client.Dial(addr)
 	if err != nil {
@@ -237,7 +237,7 @@ func TestTraceVerb(t *testing.T) {
 // -shard-serve like PAD, and decoding to the node's full exposition.
 func TestMetricsVerb(t *testing.T) {
 	reg := obs.NewRegistry()
-	addr, _ := startServer(t, Config{Metrics: reg, ShardControl: true, MaxBatch: 1})
+	addr, _ := startServer(t, Config{Metrics: reg, ShardControl: true})
 	c, err := client.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +273,7 @@ func TestMetricsVerb(t *testing.T) {
 // through the typed helper and cross-checks it against the server's
 // own snapshot — block mode first, then KV mode for the kv_* group.
 func TestParseStatsRoundTrip(t *testing.T) {
-	addr, srv := startServer(t, Config{MaxBatch: 1})
+	addr, srv := startServer(t, Config{})
 	c, err := client.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -300,7 +300,7 @@ func TestParseStatsRoundTrip(t *testing.T) {
 		t.Fatalf("shards=%d per-shard=%d, want 2/2", st.Shards, len(st.PerShard))
 	}
 	if st.Requests != 16 || st.Batches != 16 {
-		t.Fatalf("requests=%d batches=%d, want 16/16 (MaxBatch 1)", st.Requests, st.Batches)
+		t.Fatalf("requests=%d batches=%d, want 16/16 (one window per WRITE)", st.Requests, st.Batches)
 	}
 	own := srv.Stats()
 	if st.Conns != own.Accepted || st.Active != own.Active || st.Rejected != own.Rejected {

@@ -4,18 +4,16 @@
 // the scheduler's request-grouping machinery (§4.2) instead of
 // trickling in one request at a time.
 //
-// Architecture: each TCP connection gets a reader goroutine that
-// parses requests and hands them to a single batcher goroutine over a
-// submit channel. The batcher collects everything that arrives within
-// a short window (or until the batch cap) and drains the whole window
-// through engine.Engine.Batch as ONE logical batch: the engine
-// scatters it across its shards' reorder buffers, every shard's
-// scheduler drains its sub-batch concurrently (one storage load
-// amortised across up to c in-memory hits per cycle, exactly as the
-// paper's schedule intends), and the engine gathers the futures before
-// the batcher hands completions back to the connection goroutines over
-// per-task done channels — every client stays asynchronous with
-// respect to the others.
+// Architecture: each TCP connection gets a goroutine that parses
+// requests and drains every READ, WRITE or MULTI through
+// engine.Engine.Batch as one logical batch. The server runs no
+// batching queue of its own: the engine scatters each batch into its
+// shards' reorder-buffer queues, and a shard's scheduler drains
+// whatever every connection queued while its previous drain ran (one
+// storage load amortised across up to c in-memory hits per cycle,
+// exactly as the paper's schedule intends) — group commit, with no
+// timer to wait out. A connection blocks only on its own batch, so
+// every client stays asynchronous with respect to the others.
 //
 // Wire protocol (text, line-oriented; responses in request order):
 //
@@ -90,9 +88,7 @@ import (
 
 // Defaults for Config zero values.
 const (
-	DefaultBatchWindow = 2 * time.Millisecond
-	DefaultMaxBatch    = 64
-	DefaultMaxConns    = 256
+	DefaultMaxConns = 256
 
 	// MaxMultiRequests bounds the <n> of one MULTI command.
 	MaxMultiRequests = 1024
@@ -112,16 +108,13 @@ var ErrClosed = errors.New("server: closed")
 // above.
 type Config struct {
 	// Engine is the sharded H-ORAM engine every request is served
-	// from. Required. The server is its only driver on the hot path,
-	// so each shard's scheduler still observes one serial request
+	// from. Required. Connections call its Batch concurrently; each
+	// shard's scheduler goroutine still observes one serial request
 	// stream as the secure scheduler requires.
 	Engine *engine.Engine
-	// BatchWindow is how long the batcher waits for more requests
-	// after the first one arrives before draining the window.
+	// Deprecated: ignored; batching happens in the engine's per-shard
+	// queues.
 	BatchWindow time.Duration
-	// MaxBatch caps the logical requests grouped into one scheduler
-	// drain.
-	MaxBatch int
 	// MaxConns caps concurrently served connections; excess
 	// connections are refused with "ERR server busy".
 	MaxConns int
@@ -153,14 +146,8 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// task is one connection's contribution to a batch window.
-type task struct {
-	reqs []*core.Request
-	done chan error
-}
-
-// Server accepts connections and batches their requests into the
-// shared scheduler.
+// Server accepts connections and drains their requests through the
+// shared engine.
 type Server struct {
 	cfg       Config
 	engine    *engine.Engine
@@ -168,12 +155,10 @@ type Server struct {
 	blocks    int64
 	blockSize int
 
-	submit      chan *task
-	quit        chan struct{}
-	batcherDone chan struct{}
-	wg          sync.WaitGroup
+	quit chan struct{}
+	wg   sync.WaitGroup
 
-	// drain executes one chunk of a window; engine.Batch in
+	// drain executes one dispatched request batch; engine.Batch in
 	// production, overridable by fault-injection tests.
 	drain func(reqs []*core.Request) error
 
@@ -197,17 +182,10 @@ type Server struct {
 	statsShards []engine.ShardStats
 }
 
-// New validates the config and starts the batcher. Callers must
-// Close the server even if Serve is never reached.
+// New validates the config and builds the server.
 func New(cfg Config) (*Server, error) {
 	if cfg.Engine == nil {
 		return nil, errors.New("server: Config.Engine is required")
-	}
-	if cfg.BatchWindow <= 0 {
-		cfg.BatchWindow = DefaultBatchWindow
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = DefaultMaxBatch
 	}
 	if cfg.MaxConns <= 0 {
 		cfg.MaxConns = DefaultMaxConns
@@ -222,22 +200,19 @@ func New(cfg Config) (*Server, error) {
 		reg = obs.NewRegistry()
 	}
 	s := &Server{
-		cfg:         cfg,
-		engine:      cfg.Engine,
-		kv:          cfg.KV,
-		blocks:      cfg.Engine.Blocks(),
-		blockSize:   cfg.Engine.BlockSize(),
-		submit:      make(chan *task, cfg.MaxConns),
-		quit:        make(chan struct{}),
-		batcherDone: make(chan struct{}),
-		conns:       make(map[net.Conn]struct{}),
-		reg:         reg,
-		tracer:      cfg.Tracer,
-		logger:      cfg.Logger,
+		cfg:       cfg,
+		engine:    cfg.Engine,
+		kv:        cfg.KV,
+		blocks:    cfg.Engine.Blocks(),
+		blockSize: cfg.Engine.BlockSize(),
+		quit:      make(chan struct{}),
+		conns:     make(map[net.Conn]struct{}),
+		reg:       reg,
+		tracer:    cfg.Tracer,
+		logger:    cfg.Logger,
 	}
 	s.ins = newInstruments(reg, cfg.KV != nil)
 	s.drain = cfg.Engine.Batch
-	go s.batcher()
 	return s, nil
 }
 
@@ -293,12 +268,13 @@ func (s *Server) Serve(ln net.Listener) error {
 		if !s.admit(conn) {
 			continue
 		}
-		s.wg.Add(1)
 		go s.handle(conn)
 	}
 }
 
 // admit registers the connection or refuses it over the MaxConns cap.
+// The handler's WaitGroup slot is taken under mu, so a concurrent
+// Close either refuses the connection or waits for its handler.
 func (s *Server) admit(conn net.Conn) bool {
 	s.mu.Lock()
 	if s.closed || len(s.conns) >= s.cfg.MaxConns {
@@ -309,6 +285,7 @@ func (s *Server) admit(conn net.Conn) bool {
 		return false
 	}
 	s.conns[conn] = struct{}{}
+	s.wg.Add(1)
 	s.mu.Unlock()
 	s.ins.accepted.Inc()
 	s.ins.active.Add(1)
@@ -322,14 +299,14 @@ func (s *Server) forget(conn net.Conn) {
 	s.ins.active.Add(-1)
 }
 
-// Close stops accepting, lets in-flight requests complete and their
-// responses flush, then stops the batcher. Safe to call more than
-// once.
+// Close stops accepting and lets in-flight requests complete and
+// their responses flush. Safe to call more than once; every call
+// returns after the connections have drained.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		<-s.batcherDone
+		s.wg.Wait()
 		return nil
 	}
 	s.closed = true
@@ -355,115 +332,36 @@ func (s *Server) Close() error {
 		}
 	}
 	s.wg.Wait()
-	close(s.submit)
-	<-s.batcherDone
 	return lnErr
 }
 
-// dispatch hands one connection's requests to the batcher and waits
-// for the batch that contains them to drain.
+// dispatch drains one connection's requests through the engine as
+// one batch and returns that batch's error; concurrent connections'
+// batches coalesce in the engine's per-shard queues. Each dispatch is
+// one window in the serving counters, which count only drains that
+// succeeded, mirroring the engine's per-shard drain accounting (which
+// skips failed drains) — so the per-shard request sums always
+// reconcile with the window totals, even after faults.
 func (s *Server) dispatch(reqs []*core.Request) error {
-	t := &task{reqs: reqs, done: make(chan error, 1)}
-	select {
-	case s.submit <- t:
-	case <-s.quit:
-		return ErrClosed
+	var obsStart time.Time
+	if s.ins.drainTime != nil {
+		obsStart = time.Now()
 	}
-	return <-t.done
-}
-
-// batcher is the single goroutine that feeds the scheduler: it opens
-// a window on the first queued task, keeps collecting until the
-// window closes or the batch cap is hit, and drains everything as one
-// ROB batch.
-//
-// Error attribution is per task, not per window: the window drains in
-// MaxBatch chunks, every chunk is attempted regardless of earlier
-// chunk failures (the engine's batches are independent), and a task
-// only observes an error from a chunk that contained at least one of
-// ITS requests. A task whose chunks all drained cleanly gets nil even
-// when a neighbour's chunk failed — its operations really executed,
-// and telling its client ERR would be a lie in both directions.
-func (s *Server) batcher() {
-	defer close(s.batcherDone)
-	for {
-		t, ok := <-s.submit
-		if !ok {
-			return
-		}
-		reqs := append([]*core.Request(nil), t.reqs...)
-		waiters := []*task{t}
-		starts := []int{0} // waiters[i]'s requests occupy reqs[starts[i] : starts[i]+len(waiters[i].reqs)]
-		timer := time.NewTimer(s.cfg.BatchWindow)
-		open := true
-	collect:
-		for len(reqs) < s.cfg.MaxBatch {
-			select {
-			case t2, ok2 := <-s.submit:
-				if !ok2 {
-					open = false
-					break collect
-				}
-				starts = append(starts, len(reqs))
-				reqs = append(reqs, t2.reqs...)
-				waiters = append(waiters, t2)
-			case <-timer.C:
-				break collect
-			}
-		}
-		timer.Stop()
-		// A single task (one MULTI) may exceed MaxBatch on its own;
-		// chunk the drain so -max-batch really bounds per-drain
-		// latency for everyone sharing the scheduler.
-		type chunk struct {
-			off, end int
-			err      error
-		}
-		var chunks []chunk
-		for off := 0; off < len(reqs); off += s.cfg.MaxBatch {
-			end := off + s.cfg.MaxBatch
-			if end > len(reqs) {
-				end = len(reqs)
-			}
-			var obsStart time.Time
-			if s.ins.drainTime != nil {
-				obsStart = time.Now()
-			}
-			sp := s.tracer.Begin("window", 0)
-			err := s.drain(reqs[off:end])
-			sp.End(obs.Arg{Key: "size", Val: int64(end - off)})
-			if s.ins.drainTime != nil {
-				s.ins.drainTime.ObserveDuration(time.Since(obsStart))
-			}
-			// Count only successful chunks, mirroring the engine's
-			// per-shard drain hooks (which skip failed drains) — so the
-			// per-shard request sums always reconcile with the window
-			// totals, even after faults.
-			if err == nil {
-				s.record(end - off)
-			}
-			chunks = append(chunks, chunk{off, end, err})
-		}
-		for i, w := range waiters {
-			lo, hi := starts[i], starts[i]+len(w.reqs)
-			var werr error
-			for _, c := range chunks {
-				if c.err != nil && c.off < hi && lo < c.end {
-					werr = c.err
-					break
-				}
-			}
-			w.done <- werr
-		}
-		if !open {
-			return
-		}
+	sp := s.tracer.Begin("window", 0)
+	err := s.drain(reqs)
+	sp.End(obs.Arg{Key: "size", Val: int64(len(reqs))})
+	if s.ins.drainTime != nil {
+		s.ins.drainTime.ObserveDuration(time.Since(obsStart))
 	}
+	if err == nil {
+		s.record(len(reqs))
+	}
+	return err
 }
 
 // handle serves one connection: parse, dispatch, respond. Responses
 // for a connection are written in request order; batching across
-// connections happens behind the submit channel.
+// connections happens in the engine's per-shard queues.
 func (s *Server) handle(conn net.Conn) {
 	defer s.wg.Done()
 	defer conn.Close() //horam:errok per-connection teardown; the protocol has already answered or failed
@@ -526,7 +424,7 @@ scan:
 }
 
 // handleMulti reads the n sub-request lines of a MULTI command,
-// dispatches them as one task and writes the n+1 response lines. On a
+// dispatches them as one batch and writes the n+1 response lines. On a
 // sub-line validation error it still consumes the full declared frame
 // (keeping the stream in sync — leftover lines must never execute as
 // top-level commands), answers one ERR and lets the connection
@@ -583,8 +481,8 @@ func (s *Server) handleMulti(sc *bufio.Scanner, w *bufio.Writer, fields []string
 	return true
 }
 
-// handleKV serves one KGET/KSET/KDEL command. KV operations bypass the
-// batching window — each already IS a fixed-size batch pipeline that
+// handleKV serves one KGET/KSET/KDEL command. KV operations are not
+// server windows — each already IS a fixed-size batch pipeline that
 // the okv layer drives through the engine's reorder buffers. Blocking
 // here only parks this connection's goroutine: okv locks per bucket,
 // so concurrent connections' operations on disjoint keys run their

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/blockcipher"
 	"repro/internal/client"
@@ -57,9 +56,12 @@ func startServer(t *testing.T, cfg Config) (string, *Server) {
 // TestConcurrentClientsBatching is the acceptance test: 8 concurrent
 // clients hammer mixed READ/WRITE traffic over real TCP sockets, each
 // client sees read-your-writes on its private address range, and the
-// concurrency actually forms scheduler batches larger than one.
+// concurrency actually merges requests into shared scheduler drains.
+// The server dispatches every request on its own, so the merging is
+// the engine's: its per-shard queues must drain fewer batches than
+// the requests they served.
 func TestConcurrentClientsBatching(t *testing.T) {
-	addr, srv := startServer(t, Config{BatchWindow: 3 * time.Millisecond})
+	addr, srv := startServer(t, Config{})
 
 	const (
 		clients   = 8
@@ -84,17 +86,19 @@ func TestConcurrentClientsBatching(t *testing.T) {
 	}
 
 	st := srv.Stats()
-	if st.Requests != clients*perClient {
-		t.Fatalf("served %d logical requests, want %d", st.Requests, clients*perClient)
+	if st.Requests != clients*perClient || st.Batches != clients*perClient {
+		t.Fatalf("served %d requests in %d windows, want %d in %d (one window per request)",
+			st.Requests, st.Batches, clients*perClient, clients*perClient)
 	}
-	if st.MeanBatch <= 1 {
-		t.Fatalf("mean batch size %.2f, want > 1 under %d concurrent clients (hist %s)",
-			st.MeanBatch, clients, st.HistogramString())
+	sum := srv.engine.Stats()
+	if sum.Requests != st.Requests {
+		t.Fatalf("engine served %d requests, server dispatched %d", sum.Requests, st.Requests)
 	}
-	if st.Batches >= st.Requests {
-		t.Fatalf("%d batches for %d requests: no grouping happened", st.Batches, st.Requests)
+	if sum.Batches >= sum.Requests {
+		t.Fatalf("engine drained %d batches for %d requests under %d concurrent clients: no merging happened (shard hist %s)",
+			sum.Batches, sum.Requests, clients, engine.FormatHist(st.ShardHistogram))
 	}
-	t.Logf("batches=%d mean=%.2f hist=%s", st.Batches, st.MeanBatch, st.HistogramString())
+	t.Logf("engine drains=%d for %d requests, shard hist=%s", sum.Batches, sum.Requests, engine.FormatHist(st.ShardHistogram))
 }
 
 // runClient drives one connection with a deterministic mixed workload
@@ -238,33 +242,6 @@ func TestMultiBadCountClosesConnection(t *testing.T) {
 			t.Errorf("%q: connection stayed open after unusable count", line)
 		}
 		conn.Close()
-	}
-}
-
-// TestMultiChunkedByMaxBatch: one MULTI larger than MaxBatch is split
-// across scheduler drains so -max-batch bounds per-drain latency.
-func TestMultiChunkedByMaxBatch(t *testing.T) {
-	addr, srv := startServer(t, Config{MaxBatch: 4})
-	c, err := client.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ops := make([]client.Op, 10)
-	for i := range ops {
-		ops[i] = client.Op{Addr: int64(i)}
-	}
-	res, err := c.Batch(ops)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 10 {
-		t.Fatalf("got %d results", len(res))
-	}
-	st := srv.Stats()
-	if st.Batches != 3 || st.Requests != 10 {
-		t.Fatalf("10 ops with MaxBatch=4 drained as %d batches / %d requests, want 3 / 10",
-			st.Batches, st.Requests)
 	}
 }
 
@@ -455,11 +432,15 @@ func TestStatsLine(t *testing.T) {
 			t.Errorf("STATS missing %q (got %v)", key, kv)
 		}
 	}
-	if n, err := client.StatInt(kv, "requests"); err != nil || n != 1 {
-		t.Errorf("requests = %v (%v), want 1", kv["requests"], err)
+	st, err := client.ParseStats(kv)
+	if err != nil {
+		t.Fatalf("ParseStats: %v", err)
 	}
-	if n, err := client.StatInt(kv, "shards"); err != nil || n != 2 {
-		t.Errorf("shards = %v (%v), want 2", kv["shards"], err)
+	if st.Requests != 1 {
+		t.Errorf("requests = %d, want 1", st.Requests)
+	}
+	if st.Shards != 2 {
+		t.Errorf("shards = %d, want 2", st.Shards)
 	}
 }
 

@@ -15,11 +15,10 @@ import (
 )
 
 // handleShardControl serves one CYCLES/PAD/CHECKPT/PEEK/METRICS command.
-// These verbs bypass the batching window: they are control-plane
-// operations issued between a gateway's data batches, not data-plane
-// requests that should coalesce with them — and PAD in particular
-// must observe the cycle count the preceding drains left, not race
-// a window.
+// These verbs are not data batches: they are control-plane operations
+// issued between a gateway's data batches, not data-plane requests
+// that should coalesce with them — and PAD in particular must observe
+// the cycle count the preceding drains left.
 func (s *Server) handleShardControl(w *bufio.Writer, fields []string) {
 	verb := strings.ToUpper(fields[0])
 	if !s.cfg.ShardControl {

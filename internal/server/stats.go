@@ -50,14 +50,14 @@ func newInstruments(reg *obs.Registry, kv bool) instruments {
 			"connections currently served",
 			obs.Public("open TCP connections are wire-visible")),
 		windows: reg.Counter("horam_server_windows_total",
-			"batching-window drains executed",
-			obs.Public("window boundaries follow from wire-visible request arrival timing and the public MaxBatch/BatchWindow config")),
+			"request windows drained (one per READ, WRITE or MULTI)",
+			obs.Public("one window per wire-visible READ/WRITE/MULTI request, so the count is traffic a wire adversary tallies itself")),
 		windowReqs: reg.Counter("horam_server_window_requests_total",
-			"logical requests drained through batching windows",
+			"logical requests drained through request windows",
 			obs.Public("request count is wire-visible traffic volume")),
 		windowHist: reg.Histogram("horam_server_window_size",
 			"window drain sizes, bucketed like the engine batch histogram",
-			obs.Public("window sizes are a function of wire-visible arrival timing, never of addresses"),
+			obs.Public("a window's size is the op count of its wire-visible request (1, or a MULTI's n), never a function of addresses"),
 			obs.BatchSizeBounds()),
 		drainTime: reg.Histogram("horam_server_drain_seconds",
 			"wall-clock latency of one window drain",
@@ -82,9 +82,10 @@ func newInstruments(reg *obs.Registry, kv bool) instruments {
 	return ins
 }
 
-// Stats is a snapshot of the server's serving counters. The batch
-// fields are the observable proof of request grouping: MeanBatch is
-// the mean number of logical requests drained per batching window.
+// Stats is a snapshot of the server's serving counters. A window is
+// one dispatched READ, WRITE or MULTI: MeanBatch is the mean number of
+// logical requests per window, and the engine's per-shard drains
+// (PerShard) are where concurrent windows coalesce.
 type Stats struct {
 	// Accepted and Rejected count connections; Active is the number
 	// currently being served.
