@@ -89,3 +89,22 @@ func TestParseStatsErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestStatInt pins the integer-field parser every ParseStats counter
+// goes through: a present integer parses, and a missing key or a
+// non-integer value sets the sticky error.
+func TestStatInt(t *testing.T) {
+	kv := map[string]string{"requests": "42", "mean_batch": "3.5"}
+	p := &statFields{kv: kv}
+	if n := p.int("requests"); n != 42 || p.err != nil {
+		t.Errorf("int(requests) = %d, %v", n, p.err)
+	}
+	p = &statFields{kv: kv}
+	if p.int("absent"); p.err == nil {
+		t.Error("missing key accepted")
+	}
+	p = &statFields{kv: kv}
+	if p.int("mean_batch"); p.err == nil {
+		t.Error("non-integer accepted")
+	}
+}
