@@ -223,7 +223,7 @@ func run(exp string, scale float64, crypto bool, reqs int, out string) error {
 		fmt.Print(bench.FormatShard(rows, p))
 		fmt.Println()
 		if out != "" {
-			if err := bench.WriteShardJSON(out, rows, p); err != nil {
+			if err := bench.NewReport("shard", p, rows).WriteJSON(out); err != nil {
 				return err
 			}
 			fmt.Printf("wrote %s\n", out)
@@ -239,7 +239,7 @@ func run(exp string, scale float64, crypto bool, reqs int, out string) error {
 		fmt.Print(bench.FormatLatency(rows, p))
 		fmt.Println()
 		if exp == "latency" && out != "" {
-			if err := bench.WriteLatencyJSON(out, rows, p); err != nil {
+			if err := bench.NewReport("latency", p, rows).WriteJSON(out); err != nil {
 				return err
 			}
 			fmt.Printf("wrote %s\n", out)
@@ -255,7 +255,9 @@ func run(exp string, scale float64, crypto bool, reqs int, out string) error {
 		fmt.Print(bench.FormatPersist(dev, rows, p))
 		fmt.Println()
 		if exp == "persist" && out != "" {
-			if err := bench.WritePersistJSON(out, dev, rows, p); err != nil {
+			rep := bench.NewReport("persist", p, rows)
+			rep.Device = &dev
+			if err := rep.WriteJSON(out); err != nil {
 				return err
 			}
 			fmt.Printf("wrote %s\n", out)
@@ -271,7 +273,7 @@ func run(exp string, scale float64, crypto bool, reqs int, out string) error {
 		fmt.Print(bench.FormatKV(rows, p))
 		fmt.Println()
 		if exp == "kv" && out != "" {
-			if err := bench.WriteKVJSON(out, rows, p); err != nil {
+			if err := bench.NewReport("kv", p, rows).WriteJSON(out); err != nil {
 				return err
 			}
 			fmt.Printf("wrote %s\n", out)
@@ -290,7 +292,7 @@ func run(exp string, scale float64, crypto bool, reqs int, out string) error {
 		fmt.Print(bench.FormatObs(rows, p))
 		fmt.Println()
 		if out != "" {
-			if err := bench.WriteObsJSON(out, rows, p); err != nil {
+			if err := bench.NewReport("obs", p, rows).WriteJSON(out); err != nil {
 				return err
 			}
 			fmt.Printf("wrote %s\n", out)

@@ -11,10 +11,7 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"sync"
 	"time"
 
@@ -231,33 +228,4 @@ func FormatKV(rows []KVRow, p KVParams) string {
 	fmt.Fprintf(&b, "hit, miss, insert, update and delete are bus-indistinguishable, so logical\n")
 	fmt.Fprintf(&b, "ops/s is block req/s divided by the constant blocks/op.\n")
 	return b.String()
-}
-
-// KVReport is the JSON baseline committed as BENCH_kv.json.
-type KVReport struct {
-	Experiment string   `json:"experiment"`
-	GOOS       string   `json:"goos"`
-	GOARCH     string   `json:"goarch"`
-	GOMAXPROCS int      `json:"gomaxprocs"`
-	CPUs       int      `json:"cpus"`
-	Params     KVParams `json:"params"`
-	Rows       []KVRow  `json:"rows"`
-}
-
-// WriteKVJSON writes the sweep as an indented JSON baseline.
-func WriteKVJSON(path string, rows []KVRow, p KVParams) error {
-	rep := KVReport{
-		Experiment: "kv",
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		CPUs:       runtime.NumCPU(),
-		Params:     p,
-		Rows:       rows,
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -17,9 +17,7 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"sort"
 	"time"
@@ -232,33 +230,4 @@ func FormatLatency(rows []LatencyRow, p LatencyParams) string {
 	fmt.Fprintf(&b, "sim latency = shard virtual-clock span submit->complete; wall latency = the\n")
 	fmt.Fprintf(&b, "request's batch round-trip on this host (GOMAXPROCS=%d).\n", runtime.GOMAXPROCS(0))
 	return b.String()
-}
-
-// LatencyReport is the JSON baseline committed as BENCH_latency.json.
-type LatencyReport struct {
-	Experiment string        `json:"experiment"`
-	GOOS       string        `json:"goos"`
-	GOARCH     string        `json:"goarch"`
-	GOMAXPROCS int           `json:"gomaxprocs"`
-	CPUs       int           `json:"cpus"`
-	Params     LatencyParams `json:"params"`
-	Rows       []LatencyRow  `json:"rows"`
-}
-
-// WriteLatencyJSON writes the sweep as an indented JSON baseline.
-func WriteLatencyJSON(path string, rows []LatencyRow, p LatencyParams) error {
-	rep := LatencyReport{
-		Experiment: "latency",
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		CPUs:       runtime.NumCPU(),
-		Params:     p,
-		Rows:       rows,
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

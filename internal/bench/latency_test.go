@@ -48,7 +48,7 @@ func TestLatencySweepSmoke(t *testing.T) {
 
 	// The baseline writer round-trips.
 	tmp := t.TempDir() + "/latency.json"
-	if err := WriteLatencyJSON(tmp, rows, p); err != nil {
+	if err := NewReport("latency", p, rows).WriteJSON(tmp); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -8,10 +8,7 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"time"
 
 	"repro/internal/blockcipher"
@@ -155,33 +152,4 @@ func FormatObs(rows []ObsRow, p ObsParams) string {
 	fmt.Fprintf(&b, "registry = atomic counters/histograms wired into the batch, leveling and\n")
 	fmt.Fprintf(&b, "quantum paths; trace additionally records one span per window/batch/drain.\n")
 	return b.String()
-}
-
-// ObsReport is the JSON baseline committed as BENCH_obs.json.
-type ObsReport struct {
-	Experiment string    `json:"experiment"`
-	GOOS       string    `json:"goos"`
-	GOARCH     string    `json:"goarch"`
-	GOMAXPROCS int       `json:"gomaxprocs"`
-	CPUs       int       `json:"cpus"`
-	Params     ObsParams `json:"params"`
-	Rows       []ObsRow  `json:"rows"`
-}
-
-// WriteObsJSON writes the comparison as an indented JSON baseline.
-func WriteObsJSON(path string, rows []ObsRow, p ObsParams) error {
-	rep := ObsReport{
-		Experiment: "obs",
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		CPUs:       runtime.NumCPU(),
-		Params:     p,
-		Rows:       rows,
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -19,7 +19,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -299,35 +298,4 @@ func FormatPersist(dev PersistDevRow, rows []PersistRow, p PersistParams) string
 	fmt.Fprintf(&b, "(File charges the identical latency model); wall req/s shows what the real\n")
 	fmt.Fprintf(&b, "medium costs on this host (GOMAXPROCS=%d).\n", runtime.GOMAXPROCS(0))
 	return b.String()
-}
-
-// PersistReport is the JSON baseline committed as BENCH_persist.json.
-type PersistReport struct {
-	Experiment string        `json:"experiment"`
-	GOOS       string        `json:"goos"`
-	GOARCH     string        `json:"goarch"`
-	GOMAXPROCS int           `json:"gomaxprocs"`
-	CPUs       int           `json:"cpus"`
-	Params     PersistParams `json:"params"`
-	Device     PersistDevRow `json:"device"`
-	Rows       []PersistRow  `json:"rows"`
-}
-
-// WritePersistJSON writes the sweep as an indented JSON baseline.
-func WritePersistJSON(path string, dev PersistDevRow, rows []PersistRow, p PersistParams) error {
-	rep := PersistReport{
-		Experiment: "persist",
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		CPUs:       runtime.NumCPU(),
-		Params:     p,
-		Device:     dev,
-		Rows:       rows,
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

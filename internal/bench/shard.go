@@ -15,9 +15,7 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"time"
 
@@ -176,34 +174,4 @@ func FormatShard(rows []ShardRow, p ShardParams) string {
 	fmt.Fprintf(&b, "independent hardware, so this is the deployment-model aggregate throughput.\n")
 	fmt.Fprintf(&b, "wall req/s additionally depends on host cores (GOMAXPROCS=%d here).\n", runtime.GOMAXPROCS(0))
 	return b.String()
-}
-
-// ShardReport is the JSON baseline committed as BENCH_shard.json so
-// later PRs have a trajectory to compare against.
-type ShardReport struct {
-	Experiment string      `json:"experiment"`
-	GOOS       string      `json:"goos"`
-	GOARCH     string      `json:"goarch"`
-	GOMAXPROCS int         `json:"gomaxprocs"`
-	CPUs       int         `json:"cpus"`
-	Params     ShardParams `json:"params"`
-	Rows       []ShardRow  `json:"rows"`
-}
-
-// WriteShardJSON writes the sweep as an indented JSON baseline.
-func WriteShardJSON(path string, rows []ShardRow, p ShardParams) error {
-	rep := ShardReport{
-		Experiment: "shard",
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		CPUs:       runtime.NumCPU(),
-		Params:     p,
-		Rows:       rows,
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -13,23 +13,19 @@ func fill(b []byte, seed byte) {
 	}
 }
 
-// TestBatchMatchesSequential is the determinism contract of the worker
-// pool: for the same RNG state, SealBatch must produce byte-for-byte
-// the sealed records a loop of Seal calls would, at every worker
-// count. The device-trace equality tests upstack depend on this.
+// TestBatchMatchesSequential: for the same RNG state, SealBatch must
+// produce byte-for-byte the sealed records a loop of Seal calls would,
+// and OpenBatch must round-trip them. The device-trace equality tests
+// upstack depend on this.
 func TestBatchMatchesSequential(t *testing.T) {
 	const n, size = 37, 264
-	makeInputs := func() [][]byte {
-		pts := make([][]byte, n)
-		for i := range pts {
-			pts[i] = make([]byte, size)
-			fill(pts[i], byte(i))
-		}
-		return pts
+	pts := make([][]byte, n)
+	for i := range pts {
+		pts[i] = make([]byte, size)
+		fill(pts[i], byte(i))
 	}
 
 	seq := newTestSealer(t)
-	pts := makeInputs()
 	want := make([][]byte, n)
 	for i, pt := range pts {
 		ct, err := seq.Seal(pt)
@@ -39,32 +35,30 @@ func TestBatchMatchesSequential(t *testing.T) {
 		want[i] = ct
 	}
 
-	for _, workers := range []int{0, 1, 2, 4, 16} {
-		par := newTestSealer(t) // fresh RNG: same nonce stream as seq
-		outs := make([][]byte, n)
-		for i := range outs {
-			outs[i] = make([]byte, size+par.Overhead())
+	batch := newTestSealer(t) // fresh RNG: same nonce stream as seq
+	outs := make([][]byte, n)
+	for i := range outs {
+		outs[i] = make([]byte, size+batch.Overhead())
+	}
+	if err := SealBatch(batch, pts, outs); err != nil {
+		t.Fatalf("SealBatch: %v", err)
+	}
+	for i := range outs {
+		if !bytes.Equal(outs[i], want[i]) {
+			t.Fatalf("record %d differs from sequential Seal", i)
 		}
-		if err := SealBatch(par, makeInputs(), outs, workers); err != nil {
-			t.Fatalf("SealBatch(workers=%d): %v", workers, err)
-		}
-		for i := range outs {
-			if !bytes.Equal(outs[i], want[i]) {
-				t.Fatalf("workers=%d: record %d differs from sequential Seal", workers, i)
-			}
-		}
+	}
 
-		opened := make([][]byte, n)
-		for i := range opened {
-			opened[i] = make([]byte, size)
-		}
-		if err := OpenBatch(par, outs, opened, workers); err != nil {
-			t.Fatalf("OpenBatch(workers=%d): %v", workers, err)
-		}
-		for i := range opened {
-			if !bytes.Equal(opened[i], pts[i]) {
-				t.Fatalf("workers=%d: record %d did not round-trip", workers, i)
-			}
+	opened := make([][]byte, n)
+	for i := range opened {
+		opened[i] = make([]byte, size)
+	}
+	if err := OpenBatch(batch, outs, opened); err != nil {
+		t.Fatalf("OpenBatch: %v", err)
+	}
+	for i := range opened {
+		if !bytes.Equal(opened[i], pts[i]) {
+			t.Fatalf("record %d did not round-trip", i)
 		}
 	}
 }
@@ -96,7 +90,7 @@ func TestOpenBatchAuthFailure(t *testing.T) {
 		fill(pts[i], byte(i))
 		outs[i] = make([]byte, size+s.Overhead())
 	}
-	if err := SealBatch(s, pts, outs, 4); err != nil {
+	if err := SealBatch(s, pts, outs); err != nil {
 		t.Fatalf("SealBatch: %v", err)
 	}
 	outs[5][len(outs[5])-1] ^= 1 // tamper with one record's tag
@@ -104,7 +98,7 @@ func TestOpenBatchAuthFailure(t *testing.T) {
 	for i := range opened {
 		opened[i] = make([]byte, size)
 	}
-	err := OpenBatch(s, outs, opened, 4)
+	err := OpenBatch(s, outs, opened)
 	if err == nil {
 		t.Fatal("OpenBatch accepted a tampered record")
 	}
@@ -117,10 +111,10 @@ func TestBatchLengthValidation(t *testing.T) {
 	s := newTestSealer(t)
 	pts := [][]byte{make([]byte, 64)}
 	outs := [][]byte{make([]byte, 64)} // missing Overhead()
-	if err := SealBatch(s, pts, outs, 1); err == nil {
+	if err := SealBatch(s, pts, outs); err == nil {
 		t.Fatal("SealBatch accepted a short output buffer")
 	}
-	if err := SealBatch(s, pts, make([][]byte, 2), 1); err == nil {
+	if err := SealBatch(s, pts, make([][]byte, 2)); err == nil {
 		t.Fatal("SealBatch accepted mismatched batch sizes")
 	}
 }
@@ -166,9 +160,9 @@ func TestSealAllocs(t *testing.T) {
 	}
 }
 
-// TestBatchRace drives concurrent batches through one sealer instance
-// with a forced multi-worker pool; under -race this covers the AEAD
-// shared by every seal worker and the serial nonce handoff.
+// TestBatchRace drives many rounds of batches through one sealer
+// instance and one set of reused buffers: every round must round-trip,
+// so in-place sealing never lets one round's bytes leak into the next.
 func TestBatchRace(t *testing.T) {
 	s := newTestSealer(t)
 	const n, size, rounds = 64, 256, 20
@@ -182,10 +176,10 @@ func TestBatchRace(t *testing.T) {
 		opened[i] = make([]byte, size)
 	}
 	for r := 0; r < rounds; r++ {
-		if err := SealBatch(s, pts, outs, 4); err != nil {
+		if err := SealBatch(s, pts, outs); err != nil {
 			t.Fatalf("round %d: SealBatch: %v", r, err)
 		}
-		if err := OpenBatch(s, outs, opened, 4); err != nil {
+		if err := OpenBatch(s, outs, opened); err != nil {
 			t.Fatalf("round %d: OpenBatch: %v", r, err)
 		}
 		for i := range opened {
@@ -236,31 +230,67 @@ func BenchmarkSealer(b *testing.B) {
 	}
 }
 
-// BenchmarkSealBatch measures the worker pool at a shuffle-quantum
-// batch shape.
+// BenchmarkSealBatch measures serial batch sealing at a
+// shuffle-quantum batch shape.
 func BenchmarkSealBatch(b *testing.B) {
 	const n, size = 64, 1024
-	for _, workers := range []int{1, 2, 4} {
-		s, err := NewAESSealer(testKey(), NewRNGFromString("sealer-bench"))
-		if err != nil {
+	s, err := NewAESSealer(testKey(), NewRNGFromString("sealer-bench"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	pts := make([][]byte, n)
+	outs := make([][]byte, n)
+	for i := range pts {
+		pts[i] = make([]byte, size)
+		fill(pts[i], byte(i))
+		outs[i] = make([]byte, size+s.Overhead())
+	}
+	b.SetBytes(int64(n * size))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := SealBatch(s, pts, outs); err != nil {
 			b.Fatal(err)
 		}
-		pts := make([][]byte, n)
-		outs := make([][]byte, n)
-		for i := range pts {
-			pts[i] = make([]byte, size)
-			fill(pts[i], byte(i))
-			outs[i] = make([]byte, size+s.Overhead())
+	}
+}
+
+// TestAESSealerBatchMethods pins the serial AESSealer.SealBatch and
+// OpenBatch methods kept for older callers: the same sealed bytes as
+// the package-level SealBatch, and no change to the Throughput totals.
+func TestAESSealerBatchMethods(t *testing.T) {
+	const n, size = 5, 96
+	pts := make([][]byte, n)
+	want := make([][]byte, n)
+	got := make([][]byte, n)
+	opened := make([][]byte, n)
+	ref, s := newTestSealer(t), newTestSealer(t)
+	for i := range pts {
+		pts[i] = make([]byte, size)
+		fill(pts[i], byte(i))
+		want[i] = make([]byte, size+ref.Overhead())
+		got[i] = make([]byte, size+s.Overhead())
+		opened[i] = make([]byte, size)
+	}
+	if err := SealBatch(ref, pts, want); err != nil {
+		t.Fatal(err)
+	}
+	sealed0, opened0 := Throughput()
+	if err := s.SealBatch(pts, got, 4); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.OpenBatch(got, opened, 4); err != nil {
+		t.Fatal(err)
+	}
+	if sealed1, opened1 := Throughput(); sealed1 != sealed0 || opened1 != opened0 {
+		t.Fatalf("Throughput moved from (%d, %d) to (%d, %d)", sealed0, opened0, sealed1, opened1)
+	}
+	for i := range pts {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("record %d differs from package-level SealBatch", i)
 		}
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.SetBytes(int64(n * size))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := SealBatch(s, pts, outs, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		if !bytes.Equal(opened[i], pts[i]) {
+			t.Fatalf("record %d did not round-trip", i)
+		}
 	}
 }

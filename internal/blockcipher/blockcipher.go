@@ -61,7 +61,7 @@ const (
 // so a sealer's (key, PRNG seed) pair must never be instantiated
 // twice for records an adversary can see.
 type AESSealer struct {
-	aead    cipher.AEAD // immutable after construction; shared by seal workers
+	aead    cipher.AEAD
 	prefix  uint32
 	counter uint64
 }
@@ -98,8 +98,9 @@ func (s *AESSealer) Overhead() int { return nonceSize + tagSize }
 // Seal implements Sealer.
 func (s *AESSealer) Seal(plaintext []byte) ([]byte, error) {
 	out := make([]byte, nonceSize+len(plaintext)+tagSize)
-	s.nextNonce(out)
-	s.sealWithNonce(out, plaintext)
+	if err := s.SealInto(out, plaintext); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 
@@ -109,7 +110,7 @@ func (s *AESSealer) Open(sealed []byte) ([]byte, error) {
 		return nil, ErrCiphertext
 	}
 	pt := make([]byte, len(sealed)-nonceSize-tagSize)
-	if err := s.open(pt, sealed); err != nil {
+	if err := s.OpenInto(pt, sealed); err != nil {
 		return nil, err
 	}
 	return pt, nil
@@ -237,9 +238,6 @@ func (r *RNG) Uint64() uint64 {
 	r.Read(b[:])
 	return binary.BigEndian.Uint64(b[:])
 }
-
-// Int63 returns a uniformly random non-negative int64.
-func (r *RNG) Int63() int64 { return int64(r.Uint64() >> 1) }
 
 // Intn returns a uniformly random int in [0, n). It panics if n <= 0.
 // Modulo bias is removed by rejection sampling.

@@ -6,18 +6,14 @@
 // Now there is one Common struct: core.Options and engine.Options are
 // aliases of it, horam.Config embeds the subset it consumes, and the
 // manifest echo plus the restore-time mismatch refusal live here, in
-// exactly one place.
+// exactly one place. Options are built as plain struct literals:
 //
-// Construction supports both plain struct literals (the historical
-// style, still used throughout the tests) and functional options:
-//
-//	opts := config.New(
-//	        config.WithBlocks(1<<16),
-//	        config.WithMemoryBytes(8<<20),
-//	        config.WithKey(key),
-//	        config.WithShards(4),
-//	)
-//	eng, err := engine.New(opts)
+//	eng, err := engine.New(engine.Options{
+//	        Blocks:      1 << 16,
+//	        MemoryBytes: 8 << 20,
+//	        Key:         key,
+//	        Shards:      4,
+//	})
 package config
 
 import (
@@ -81,10 +77,6 @@ type Common struct {
 	// Stages overrides the scheduler's c schedule; nil selects the
 	// paper's {1, 3, 5} over {20%, 13%, 67%}.
 	Stages []Stage
-	// SealWorkers bounds the worker pool that parallelises seal/unseal
-	// across the records of a cycle or shuffle quantum. 0 sizes the
-	// pool by GOMAXPROCS (serial on one core); 1 forces serial.
-	SealWorkers int
 	// ConstantTime hardens the controller's trusted-memory structures
 	// against a co-located timing adversary: stash lookup/insert/evict,
 	// position-map lookups and the okv slot selection become
@@ -102,67 +94,6 @@ type Common struct {
 	// write, n > 1 after every n-th write. Ignored without DataDir.
 	FsyncEvery int
 }
-
-// Option mutates a Common under construction (see New).
-type Option func(*Common)
-
-// New builds a Common from functional options.
-func New(opts ...Option) Common {
-	var c Common
-	for _, o := range opts {
-		o(&c)
-	}
-	return c
-}
-
-// WithBlocks sets the logical data set size N.
-func WithBlocks(n int64) Option { return func(c *Common) { c.Blocks = n } }
-
-// WithBlockSize sets the plaintext block size in bytes.
-func WithBlockSize(n int) Option { return func(c *Common) { c.BlockSize = n } }
-
-// WithMemoryBytes sets the memory-tier budget.
-func WithMemoryBytes(n int64) Option { return func(c *Common) { c.MemoryBytes = n } }
-
-// WithKey sets the 32-byte master key.
-func WithKey(key []byte) Option { return func(c *Common) { c.Key = key } }
-
-// WithInsecure disables encryption and integrity (performance-model
-// runs only).
-func WithInsecure() Option { return func(c *Common) { c.Insecure = true } }
-
-// WithSeed pins the deterministic randomness seed.
-func WithSeed(seed string) Option { return func(c *Common) { c.Seed = seed } }
-
-// WithShards sets the engine shard count.
-func WithShards(s int) Option { return func(c *Common) { c.Shards = s } }
-
-// WithShardIdentity marks the configuration as shard index of a
-// cluster-wide placement of total shards (see Common.ClusterShards).
-func WithShardIdentity(index, total int) Option {
-	return func(c *Common) { c.ShardIndex = index; c.ClusterShards = total }
-}
-
-// WithShuffleRatio enables partial shuffling.
-func WithShuffleRatio(r float64) Option { return func(c *Common) { c.ShuffleRatio = r } }
-
-// WithMonolithicShuffle selects the stop-the-world shuffle mode.
-func WithMonolithicShuffle() Option { return func(c *Common) { c.MonolithicShuffle = true } }
-
-// WithStages overrides the scheduler's c schedule.
-func WithStages(stages []Stage) Option { return func(c *Common) { c.Stages = stages } }
-
-// WithSealWorkers bounds the seal/unseal worker pool.
-func WithSealWorkers(n int) Option { return func(c *Common) { c.SealWorkers = n } }
-
-// WithConstantTime enables the constant-time controller mode.
-func WithConstantTime() Option { return func(c *Common) { c.ConstantTime = true } }
-
-// WithDataDir enables the durable storage backend under dir.
-func WithDataDir(dir string) Option { return func(c *Common) { c.DataDir = dir } }
-
-// WithFsyncEvery sets the storage file's fsync policy.
-func WithFsyncEvery(n int) Option { return func(c *Common) { c.FsyncEvery = n } }
 
 // WithDefaults returns c with the cross-layer defaults filled in:
 // BlockSize and (for engine callers) a shard count of 1.
@@ -188,9 +119,6 @@ func (c Common) Validate(prefix string) error {
 	}
 	if c.FsyncEvery < 0 {
 		return fmt.Errorf("%s: negative FsyncEvery", prefix)
-	}
-	if c.SealWorkers < 0 {
-		return fmt.Errorf("%s: negative SealWorkers", prefix)
 	}
 	if c.ShuffleRatio < 0 || c.ShuffleRatio > 1 {
 		return fmt.Errorf("%s: ShuffleRatio %v out of [0,1]", prefix, c.ShuffleRatio)

@@ -3,47 +3,29 @@ package horam
 import (
 	"encoding/binary"
 	"fmt"
-	"runtime"
 
 	"repro/internal/blockcipher"
 )
 
 // recordCodec owns the sealed-record hot path of one H-ORAM instance:
-// the header+payload plaintext layout, the seal worker-pool sizing,
-// and the reusable scratch that keeps the steady state allocation-free.
-// The per-record helpers replace the historical sealRecord/openRecord
-// (which allocated a plaintext and a sealed buffer on every call); the
-// run helpers fan a whole partition or path across the worker pool
-// while preserving the serial nonce order, so the sealed bytes — and
-// every device-trace test — are identical at any worker count.
+// the header+payload plaintext layout and the reusable scratch that
+// keeps the steady state allocation-free. The per-record helpers
+// replace the historical sealRecord/openRecord (which allocated a
+// plaintext and a sealed buffer on every call); the run helpers seal
+// or open a whole partition or path in index order on the calling
+// goroutine.
 type recordCodec struct {
 	sealer   blockcipher.Sealer
-	workers  int
 	ptSize   int // headerSize + BlockSize
 	slotSize int
 
 	dummyPt []byte // sealed-dummy plaintext; read-only after init
 }
 
-// sealWorkers resolves the configured pool bound: an explicit knob
-// wins, otherwise GOMAXPROCS capped at 8 (sealing a partition saturates
-// memory bandwidth long before it scales past that).
-func sealWorkers(configured int) int {
-	if configured > 0 {
-		return configured
-	}
-	w := runtime.GOMAXPROCS(0)
-	if w > 8 {
-		w = 8
-	}
-	return w
-}
-
-func newRecordCodec(sealer blockcipher.Sealer, blockSize, workers int) *recordCodec {
+func newRecordCodec(sealer blockcipher.Sealer, blockSize int) *recordCodec {
 	ptSize := headerSize + blockSize
 	c := &recordCodec{
 		sealer:   sealer,
-		workers:  sealWorkers(workers),
 		ptSize:   ptSize,
 		slotSize: ptSize + sealer.Overhead(),
 		dummyPt:  make([]byte, ptSize),
@@ -75,14 +57,14 @@ func (c *recordCodec) openInto(dst, sealed []byte) (int64, []byte, error) {
 	return int64(binary.BigEndian.Uint64(dst[:headerSize])), dst[headerSize:], nil
 }
 
-// sealRun batch-seals pts[i] into outs[i] across the worker pool.
+// sealRun batch-seals pts[i] into outs[i].
 func (c *recordCodec) sealRun(pts, outs [][]byte) error {
-	return blockcipher.SealBatch(c.sealer, pts, outs, c.workers)
+	return blockcipher.SealBatch(c.sealer, pts, outs)
 }
 
-// openRun batch-opens sealed[i] into pts[i] across the worker pool.
+// openRun batch-opens sealed[i] into pts[i].
 func (c *recordCodec) openRun(pts, sealed [][]byte) error {
-	return blockcipher.OpenBatch(c.sealer, sealed, pts, c.workers)
+	return blockcipher.OpenBatch(c.sealer, sealed, pts)
 }
 
 // slab carves an n×size byte slab into reusable views — the allocation

@@ -284,11 +284,10 @@ func (o *ORAM) FinishShuffle() error {
 //
 // The quantum runs entirely in the instance's persistent scratch: the
 // partition is fetched with one vectored ReadSlots burst, the records
-// are opened and re-sealed across the codec's worker pool (nonces are
-// drawn serially in slot order, so the bytes match the serial
-// implementation exactly), and written back with one WriteSlots burst.
-// The meter charges and hook events are per slot in slot order either
-// way — the bus-visible sequence is unchanged.
+// are opened and re-sealed in slot order through the codec, and
+// written back with one WriteSlots burst. The meter charges and hook
+// events are still per slot in slot order, so the bus-visible sequence
+// matches a slot-by-slot loop.
 func (o *ORAM) shufflePartition(p int64, pool []stash.Block, poolIdx *int) (int, error) {
 	base := p * o.partSlots
 	sc := o.shufScratchFor(o.partSlots)

@@ -93,12 +93,6 @@ type Config struct {
 	// clock. The paper bounds the resulting gain at 32x over the
 	// baseline for the Table 5-1 scenario.
 	BackgroundShuffle bool
-	// SealWorkers bounds the worker pool that parallelises seal/unseal
-	// across the records of a shuffle quantum, a tree path, or a cycle.
-	// 0 sizes the pool from GOMAXPROCS; 1 forces serial crypto. The
-	// nonce streams are drawn serially either way, so the sealed bytes
-	// (and every device-trace test) are identical at any worker count.
-	SealWorkers int
 	// ConstantTime hardens the memory tree's trusted-memory control
 	// structures (stash, position map) against a co-located timing
 	// adversary; see pathoram.Config.ConstantTime. Device traffic is
@@ -153,9 +147,6 @@ func (c Config) validate() error {
 	}
 	if c.ShuffleRatio < 0 || c.ShuffleRatio > 1 {
 		return fmt.Errorf("horam: ShuffleRatio %v out of [0,1]", c.ShuffleRatio)
-	}
-	if c.SealWorkers < 0 {
-		return errors.New("horam: SealWorkers must be non-negative")
 	}
 	sum := 0.0
 	for _, s := range c.Stages {
@@ -342,7 +333,7 @@ func construct(cfg Config) (*ORAM, error) {
 		clkStor: simclock.New(),
 		acct:    simclock.NewAccumulator(),
 	}
-	o.codec = newRecordCodec(cfg.Sealer, cfg.BlockSize, cfg.SealWorkers)
+	o.codec = newRecordCodec(cfg.Sealer, cfg.BlockSize)
 	o.fetchBuf = make([]byte, slotSize)
 	o.fetchPt = make([]byte, o.codec.ptSize)
 
@@ -362,7 +353,6 @@ func construct(cfg Config) (*ORAM, error) {
 		Capacity:     geom.Slots(),
 		Sealer:       cfg.Sealer,
 		RNG:          cfg.RNG.Fork("mem-oram"),
-		SealWorkers:  cfg.SealWorkers,
 		ConstantTime: cfg.ConstantTime,
 	}
 	o.mem, err = pathoram.New(memCfg, o.memDev)
@@ -430,10 +420,6 @@ func (o *ORAM) ShuffleGen() int64 { return o.shuffleGen }
 
 // Clock returns the global (overlap-aware) virtual clock.
 func (o *ORAM) Clock() *simclock.Clock { return o.clk }
-
-// Accounting returns per-phase virtual time buckets ("access",
-// "shuffle").
-func (o *ORAM) Accounting() *simclock.Accumulator { return o.acct }
 
 // Stats returns scheme-level counters.
 func (o *ORAM) Stats() Stats { return o.stats }

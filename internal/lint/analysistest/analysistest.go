@@ -16,7 +16,6 @@
 package analysistest
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"regexp"
@@ -129,16 +128,4 @@ func collectWants(t *testing.T, fset *token.FileSet, files []*ast.File) []want {
 		}
 	}
 	return out
-}
-
-// RunNoDiagnostics asserts a produces zero diagnostics on dir — the
-// false-positive regression entry point for all-clean fixtures.
-func RunNoDiagnostics(t *testing.T, a *analysis.Analyzer, dir string) {
-	t.Helper()
-	Run(t, a, dir) // a clean fixture simply carries no want comments
-}
-
-// Sprint formats diagnostics for debugging helpers.
-func Sprint(fset *token.FileSet, d analysis.Diagnostic) string {
-	return fmt.Sprintf("%s: %s", fset.Position(d.Pos), d.Message)
 }

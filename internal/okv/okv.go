@@ -125,7 +125,7 @@ type Options struct {
 	// breaking at the first match, and batch-3 contents are composed
 	// with masked copies. The backend request stream is byte-for-byte
 	// identical to the default mode; only the CPU-side timing channel
-	// closes. Pair it with the engine's config.WithConstantTime so
+	// closes. Pair it with the engine's config.Common.ConstantTime so
 	// the block layer below is hardened too.
 	ConstantTime bool
 }

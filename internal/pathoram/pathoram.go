@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"runtime"
 
 	"repro/internal/blockcipher"
 	"repro/internal/ctops"
@@ -59,11 +58,6 @@ type Config struct {
 	// StashLimit bounds the stash (0 = unbounded; experiments measure
 	// the peak instead of failing).
 	StashLimit int
-	// SealWorkers bounds the worker pool that parallelises the path
-	// seal/unseal batches. 0 sizes the pool from GOMAXPROCS; 1 forces
-	// serial crypto. Nonces are drawn serially either way, so the
-	// sealed bytes are identical at any worker count.
-	SealWorkers int
 	// Positions overrides where the position map lives. Nil keeps the
 	// classic in-controller map (the paper's "naive setting, no
 	// recursive"); the recursive construction plugs in a store backed
@@ -149,7 +143,6 @@ type ORAM struct {
 
 	// Steady-state scratch: one path's worth of slots, sealed records
 	// and plaintexts, allocated once so accesses allocate nothing.
-	workers    int      // seal worker-pool bound
 	ptSize     int      // headerSize + BlockSize
 	dummyPt    []byte   // sealed-dummy plaintext; read-only after init
 	pathSlots  []int64  // slot vector of the in-flight path or chunk
@@ -214,15 +207,14 @@ func New(cfg Config, dev device.Device) (*ORAM, error) {
 		st = stash.New(cfg.StashLimit)
 	}
 	o := &ORAM{
-		cfg:     cfg,
-		geom:    geom,
-		dev:     dev,
-		pm:      pm,
-		pmCT:    pmCT,
-		stash:   st,
-		ct:      ct,
-		workers: resolveWorkers(cfg.SealWorkers),
-		ptSize:  headerSize + cfg.BlockSize,
+		cfg:    cfg,
+		geom:   geom,
+		dev:    dev,
+		pm:     pm,
+		pmCT:   pmCT,
+		stash:  st,
+		ct:     ct,
+		ptSize: headerSize + cfg.BlockSize,
 	}
 	if ct != nil {
 		ctCap := ct.Capacity()
@@ -244,19 +236,6 @@ func New(cfg Config, dev device.Device) (*ORAM, error) {
 		return nil, err
 	}
 	return o, nil
-}
-
-// resolveWorkers turns the SealWorkers knob into a pool bound: an
-// explicit value wins, otherwise GOMAXPROCS capped at 8.
-func resolveWorkers(configured int) int {
-	if configured > 0 {
-		return configured
-	}
-	w := runtime.GOMAXPROCS(0)
-	if w > 8 {
-		w = 8
-	}
-	return w
 }
 
 // slabViews carves one backing array into n fixed-size windows.
@@ -302,8 +281,8 @@ type rawWriter interface {
 }
 
 // clearTree seals a dummy into every slot of the tree, batch-sealing
-// one path-sized chunk at a time through the worker pool (the chunked
-// order keeps the nonce stream identical to a serial slot loop).
+// one path-sized chunk at a time (the chunked order keeps the nonce
+// stream identical to a serial slot loop).
 func (o *ORAM) clearTree() error {
 	rw, hasRaw := o.dev.(rawWriter)
 	chunk := int64(len(o.pathSealed))
@@ -318,7 +297,7 @@ func (o *ORAM) clearTree() error {
 			src = append(src, o.dummyPt)
 		}
 		o.sealSrc = src[:0]
-		if err := blockcipher.SealBatch(o.cfg.Sealer, src, o.pathSealed[:n], o.workers); err != nil {
+		if err := blockcipher.SealBatch(o.cfg.Sealer, src, o.pathSealed[:n]); err != nil {
 			return err
 		}
 		for i := 0; i < n; i++ {
@@ -366,8 +345,8 @@ func (o *ORAM) checkAddr(addr int64) error {
 // readPath fetches every bucket on the path to leaf into the stash.
 // Two phases over the path scratch: the device reads land in the
 // sealed slab (charged per slot in the classic order), then one batch
-// open fans the crypto across the worker pool and the real blocks are
-// copied into stash-owned buffers.
+// open decrypts the path and the real blocks are copied into
+// stash-owned buffers.
 func (o *ORAM) readPath(leaf int64) error {
 	n := 0
 	for _, bucket := range o.geom.Path(leaf) {
@@ -381,7 +360,7 @@ func (o *ORAM) readPath(leaf int64) error {
 	if err := device.ReadSlots(o.dev, o.pathSlots[:n], o.pathSealed[:n]); err != nil {
 		return err
 	}
-	if err := blockcipher.OpenBatch(o.cfg.Sealer, o.pathSealed[:n], o.pathPt[:n], o.workers); err != nil {
+	if err := blockcipher.OpenBatch(o.cfg.Sealer, o.pathSealed[:n], o.pathPt[:n]); err != nil {
 		return fmt.Errorf("pathoram: path to leaf %d: %w", leaf, err)
 	}
 	if o.ct != nil {
@@ -473,7 +452,7 @@ func (o *ORAM) writePath(leaf int64) error {
 	}
 	o.sealSrc = src[:0]
 	o.taken = taken[:0]
-	if err := blockcipher.SealBatch(o.cfg.Sealer, src, o.pathSealed[:n], o.workers); err != nil {
+	if err := blockcipher.SealBatch(o.cfg.Sealer, src, o.pathSealed[:n]); err != nil {
 		return err
 	}
 	if err := device.WriteSlots(o.dev, o.pathSlots[:n], o.pathSealed[:n]); err != nil {
@@ -567,7 +546,7 @@ func (o *ORAM) ctWritePath(leaf int64) error {
 	}
 	o.ct.RemoveMasked(consumed, (o.geom.Levels+1)*o.cfg.Z)
 	o.sealSrc = src[:0]
-	if err := blockcipher.SealBatch(o.cfg.Sealer, src, o.pathSealed[:n], o.workers); err != nil {
+	if err := blockcipher.SealBatch(o.cfg.Sealer, src, o.pathSealed[:n]); err != nil {
 		return err
 	}
 	return device.WriteSlots(o.dev, o.pathSlots[:n], o.pathSealed[:n])
@@ -741,7 +720,7 @@ func (o *ORAM) DrainAll() ([]stash.Block, error) {
 		if err := device.ReadSlots(o.dev, o.pathSlots[:n], o.pathSealed[:n]); err != nil {
 			return nil, err
 		}
-		if err := blockcipher.OpenBatch(o.cfg.Sealer, o.pathSealed[:n], o.pathPt[:n], o.workers); err != nil {
+		if err := blockcipher.OpenBatch(o.cfg.Sealer, o.pathSealed[:n], o.pathPt[:n]); err != nil {
 			return nil, fmt.Errorf("pathoram: drain slots [%d,%d): %w", lo, hi, err)
 		}
 		for i := 0; i < n; i++ {

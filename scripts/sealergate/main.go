@@ -2,7 +2,8 @@
 // reads `go test -bench` output on stdin, extracts the MB/s figure of
 // every benchmark line, and compares each against the committed
 // baseline (BENCH_sealer.json): the gate fails when any benchmark
-// falls below min-ratio of its baseline throughput.
+// falls below min-ratio of its baseline throughput, when a baseline
+// benchmark did not run, or when a benchmark that ran has no baseline.
 //
 // With -update it instead rewrites the baseline from the measured
 // run. Multiple -count repetitions are collapsed to the fastest run
@@ -26,6 +27,7 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 // Baseline is the committed BENCH_sealer.json shape.
@@ -112,31 +114,53 @@ func main() {
 		os.Exit(1)
 	}
 
-	names := make([]string, 0, len(base.Benchmarks))
-	for name := range base.Benchmarks {
-		names = append(names, name)
+	report, failed := compare(base.Benchmarks, got, *minRatio)
+	fmt.Print(report)
+	if failed {
+		fmt.Fprintf(os.Stderr, "sealergate: sealer throughput regressed below %.0f%% of %s, or a benchmark has no baseline\n", *minRatio*100, *baseline)
+		os.Exit(1)
 	}
-	sort.Strings(names)
+}
+
+// compare gates the measured throughputs against the baseline. It
+// fails on any baseline benchmark that is missing from the run or
+// below minRatio of its baseline, and on any measured benchmark that
+// has no baseline: a renamed or new benchmark would otherwise go
+// ungated without a word. It returns one report line per benchmark.
+func compare(base, got map[string]float64, minRatio float64) (string, bool) {
+	var b strings.Builder
 	failed := false
-	for _, name := range names {
-		want := base.Benchmarks[name]
+	for _, name := range sortedKeys(base) {
+		want := base[name]
 		have, ok := got[name]
 		if !ok {
-			fmt.Printf("FAIL %-40s baseline %8.1f MB/s, missing from this run\n", name, want)
+			fmt.Fprintf(&b, "FAIL %-40s baseline %8.1f MB/s, missing from this run\n", name, want)
 			failed = true
 			continue
 		}
 		ratio := have / want
 		status := "ok  "
-		if ratio < *minRatio {
+		if ratio < minRatio {
 			status = "FAIL"
 			failed = true
 		}
-		fmt.Printf("%s %-40s %8.1f MB/s vs baseline %8.1f MB/s (%.2fx, floor %.2fx)\n",
-			status, name, have, want, ratio, *minRatio)
+		fmt.Fprintf(&b, "%s %-40s %8.1f MB/s vs baseline %8.1f MB/s (%.2fx, floor %.2fx)\n",
+			status, name, have, want, ratio, minRatio)
 	}
-	if failed {
-		fmt.Fprintf(os.Stderr, "sealergate: sealer throughput regressed below %.0f%% of %s\n", *minRatio*100, *baseline)
-		os.Exit(1)
+	for _, name := range sortedKeys(got) {
+		if _, ok := base[name]; !ok {
+			fmt.Fprintf(&b, "FAIL %-40s %8.1f MB/s, no baseline (add it with -update)\n", name, got[name])
+			failed = true
+		}
 	}
+	return b.String(), failed
+}
+
+func sortedKeys(m map[string]float64) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
