@@ -22,7 +22,8 @@ import (
 // picks the fsync policy; independent of it, Sync flushes explicitly —
 // the snapshot subsystem calls it at shuffle and checkpoint
 // boundaries so the on-disk image is durable before a state marker
-// declares it so.
+// declares it so. WriteSlots starts the write-out of every burst as it
+// lands, so those Syncs wait for little.
 type File struct {
 	meter
 	f    *os.File
@@ -216,7 +217,8 @@ func (d *File) ReadSlots(slots []int64, bufs [][]byte) error {
 }
 
 // WriteSlots implements Backend: per-slot accounting, one pwritev
-// burst per contiguous run. Under a periodic fsync policy it falls
+// burst per contiguous run, and write-out of each run started at once
+// so a later Sync has little left to flush. Under a periodic fsync policy it falls
 // back to the sequential Write loop so the policy's sync points (and
 // the Syncs counter) stay exactly where they have always been.
 func (d *File) WriteSlots(slots []int64, bufs [][]byte) error {
@@ -249,6 +251,7 @@ func (d *File) WriteSlots(slots []int64, bufs [][]byte) error {
 		if err := d.pwritevAt(views, d.off(slots[start])); err != nil {
 			return fmt.Errorf("device %s: pwritev slots [%d,%d]: %w", d.profile.Name, slots[start], slots[end-1], err)
 		}
+		d.startWriteback(d.off(slots[start]), int64(end-start)*int64(d.slotSize))
 		start = end
 	}
 	return nil

@@ -93,3 +93,18 @@ func (d *File) vectoredAt(bufs [][]byte, off int64, write bool) error {
 	}
 	return nil
 }
+
+// syncFileRangeWrite is SYNC_FILE_RANGE_WRITE: start write-out of the
+// range's dirty pages without waiting for it to finish.
+const syncFileRangeWrite = 2
+
+// startWriteback asks the kernel to begin writing the byte range
+// [off, off+n) to the medium now, instead of leaving it dirty until
+// the next Sync. A shuffle period rewrites the whole storage file one
+// partition burst at a time and then Syncs; left dirty, the whole file
+// would flush in that one fsync and stall the period's last cycle for
+// tens of milliseconds. It is only a hint: durability still comes from
+// Sync.
+func (d *File) startWriteback(off, n int64) {
+	syscall.SyncFileRange(int(d.f.Fd()), off, n, syncFileRangeWrite) //horam:errok advisory; Sync reports any write-out failure
+}

@@ -180,6 +180,33 @@ func TestFileFsyncPolicy(t *testing.T) {
 	}
 }
 
+// TestFileWriteSlotsWritebackIsNoSync: the write-out WriteSlots starts
+// for each burst is a hint, not a consistency point — it counts no
+// fsync, and the burst's bytes are in the file at their offsets.
+func TestFileWriteSlotsWritebackIsNoSync(t *testing.T) {
+	d, _, path := newTestFile(t, PaperHDD(), 16, 32, 0)
+	slots := []int64{4, 5, 6, 9}
+	bufs := make([][]byte, len(slots))
+	for i := range bufs {
+		bufs[i] = bytes.Repeat([]byte{byte(i + 1)}, 16)
+	}
+	if err := d.WriteSlots(slots, bufs); err != nil {
+		t.Fatalf("WriteSlots: %v", err)
+	}
+	if got := d.Syncs(); got != 0 {
+		t.Fatalf("Syncs = %d after WriteSlots, want 0", got)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range slots {
+		if got := raw[s*16 : (s+1)*16]; !bytes.Equal(got, bufs[i]) {
+			t.Fatalf("slot %d on disk = %x, want %x", s, got, bufs[i])
+		}
+	}
+}
+
 func TestFileHookObservesAccesses(t *testing.T) {
 	d, _, _ := newTestFile(t, PaperHDD(), 16, 8, 0)
 	var ops []Op

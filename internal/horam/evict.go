@@ -293,7 +293,7 @@ func (o *ORAM) shufflePartition(p int64, pool []stash.Block, poolIdx *int) (int,
 	sc := o.shufScratchFor(o.partSlots)
 
 	// Sequential read: one burst for the whole partition, then a
-	// parallel open into the read-phase plaintext slab.
+	// batch open into the read-phase plaintext slab.
 	for i := int64(0); i < o.partSlots; i++ {
 		sc.slots[i] = base + i
 	}
